@@ -428,8 +428,16 @@ class ServingFrontend:
         the piece that keeps frontend memory flat at 10^6+ requests.
         Arrivals must not be in the past; feeding chunk ``k+1`` when
         chunk ``k``'s last arrival fires satisfies this by construction.
+        A past arrival raises before it is registered, so it never
+        counts as offered load.
         """
         for request in requests:
+            delay = request.arrival_s - self.sim.now
+            if delay < 0:
+                raise ValueError(
+                    f"request {request.request_id} arrives in the past "
+                    f"({request.arrival_s} < {self.sim.now})"
+                )
             record = RequestRecord(
                 request=request,
                 deadline_s=slo_mod.slo_class(request.slo_class)
@@ -439,12 +447,6 @@ class ServingFrontend:
                 self._live[request.request_id] = record
             else:
                 self.records.append(record)
-            delay = request.arrival_s - self.sim.now
-            if delay < 0:
-                raise ValueError(
-                    f"request {request.request_id} arrives in the past "
-                    f"({request.arrival_s} < {self.sim.now})"
-                )
             timeout = self.sim.timeout(delay)
             timeout.callbacks.append(
                 lambda _ev, record=record: self._on_arrival(record)
@@ -673,24 +675,36 @@ class ServingFrontend:
     def _dispatch(self) -> None:
         """Hand queued requests to the manager while memory allows.
 
-        Requests are tried in discipline order; one that no worker can
-        fit right now is *blocked* for the rest of this round — hidden
-        from the discipline's view but left in place in the queue — so
-        it cannot head-of-line block smaller requests, tenant-aware
-        disciplines keep seeing every tenant's full backlog, and the
-        queue's arrival-order invariant (FIFO and EDF ties) is preserved
-        for free. Blocked records are retried when a task terminates and
-        returns its memory.
+        Requests are tried in discipline order. When no worker can fit a
+        pick that needs ``m`` GB, every queued request needing ``m`` GB
+        or more is *blocked* for the rest of this round: hidden from the
+        discipline's view but left in place in the queue. So a blocked
+        request cannot head-of-line block smaller ones, and the round
+        does not re-pick blocked requests one at a time.
+
+        The prune relies on one condition: within a round, eligibility
+        only shrinks. A worker's free memory is its bubble memory minus
+        its reservations, and a round only adds reservations, so a
+        request needing ``m`` GB or more would be blocked when picked.
+
+        The round's first pick sees the whole queue, so tenant-aware
+        disciplines see every tenant's backlog. Views keep queue order:
+        arrival order, except that :meth:`_requeue` appends retries at
+        the tail, so ties break by queue position. Blocked requests are
+        retried when a task terminates and returns its memory.
         """
         # Stateful weighted-fair disciplines are charged per *successful*
         # dispatch, so a pick blocked for lack of memory costs its
         # tenant nothing.
         charge = getattr(self.discipline, "on_dispatch", None)
+        limit_gb = float("inf")
         blocked: "set[int]" = set()
         while True:
-            view = (self.queue if not blocked else
-                    [record for record in self.queue
-                     if id(record) not in blocked])
+            view = (self.queue if limit_gb == float("inf") and not blocked
+                    else [record for record in self.queue
+                          if id(record) not in blocked
+                          and self._profile_for(record.request)
+                          .gpu_memory_gb < limit_gb])
             if not view:
                 break
             index = self.discipline(view, self.sim.now)
@@ -699,7 +713,7 @@ class ServingFrontend:
             profile = self._profile_for(request)
             if not self.freeride.manager.eligible_workers(
                     profile.gpu_memory_gb):
-                blocked.add(id(record))
+                limit_gb = profile.gpu_memory_gb
                 continue
             name = request.name
             if record.attempts > 0:

@@ -90,15 +90,18 @@ def _ageable_deadline(record: "RequestRecord") -> float:
 
 
 def fifo_discipline(queue, now: float) -> int:
-    """Dispatch in arrival order."""
+    """Dispatch the head of the queue (arrival order, except that a
+    retried request re-enters at the tail)."""
     return 0
 
 
 def edf_discipline(queue, now: float) -> int:
-    """Dispatch the earliest absolute deadline; FIFO among equals.
+    """Dispatch the earliest absolute deadline; queue order among equals.
 
-    ``min`` returns the first of equal keys, and the queue is in arrival
-    order, so ties (including all best-effort requests) stay FIFO.
+    ``min`` returns the first of equal keys, so ties (including all
+    best-effort requests) break by queue position. That is arrival
+    order, except that the frontend appends a retried request at the
+    tail, behind requests that arrived after it.
     """
     return min(range(len(queue)),
                key=lambda i: (queue[i].effective_deadline, i))

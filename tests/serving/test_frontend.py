@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.middleware import FreeRide
 from repro.experiments import common
 from repro.serving.arrivals import RequestTemplate, TaskRequest, TraceArrivals
 from repro.serving.frontend import (
     AdmissionPolicy,
     QueueBackpressure,
     RequestRecord,
+    ServingFrontend,
     TokenBucket,
     make_admission,
     run_serving,
@@ -264,3 +266,73 @@ class TestBoundedQueueAndBackpressure:
         reasons = {r.reject_reason for r in result.records
                    if r.status == "rejected"}
         assert any(reason.startswith("backpressure") for reason in reasons)
+
+
+class TestDispatchRound:
+    """One ``_dispatch`` round, counted in discipline calls.
+
+    The workers of the default deployment have 3 to 26 GB of bubble
+    memory; vgg19 at batch size 256 needs about 34 GB, so no worker can
+    fit it, while pagerank (2.8 GB) fits every worker.
+    """
+
+    @staticmethod
+    def _frontend():
+        views: "list[list[int]]" = []
+
+        def spy(view, now):
+            views.append([record.request.request_id for record in view])
+            return edf_discipline(view, now)
+
+        freeride = FreeRide(common.train_config(epochs=1), seed=0)
+        return ServingFrontend(freeride, [], discipline=spy), views
+
+    @staticmethod
+    def _queue(frontend, request_id, deadline_s, workload, batch_size=64):
+        request = TaskRequest(request_id=request_id, arrival_s=0.0,
+                              workload=workload, job_steps=10,
+                              batch_size=batch_size)
+        record = RequestRecord(request=request, deadline_s=deadline_s)
+        frontend.queue.append(record)
+        return record
+
+    def test_blocked_size_hides_every_request_that_size(self):
+        frontend, views = self._frontend()
+        records = [self._queue(frontend, i, 10.0 + i, "vgg19", 256)
+                   for i in range(8)]
+        frontend._dispatch()
+        # One pick finds nothing fits; it hides all eight, not only
+        # itself, so the discipline is not called once per request.
+        assert views == [list(range(8))]
+        assert frontend.queue == records
+        assert all(record.assigned_at is None for record in records)
+
+    def test_request_of_exactly_the_blocked_size_stays_hidden(self):
+        frontend, views = self._frontend()
+        blocked = self._queue(frontend, 0, 1.0, "vgg19", 256)
+        same_size = self._queue(frontend, 1, 2.0, "vgg19", 256)
+        smaller = self._queue(frontend, 2, 3.0, "pagerank")
+        frontend._dispatch()
+        # The equal-size request is earlier than the smaller one, so
+        # only the prune keeps it from being picked (and blocked) next.
+        assert views == [[0, 1, 2], [2]]
+        assert smaller.assigned_at == 0.0
+        assert frontend.queue == [blocked, same_size]
+
+
+class TestFeed:
+    @pytest.mark.parametrize("metrics_mode", ["records", "streaming"])
+    def test_past_arrival_is_rejected_without_a_phantom_record(
+            self, metrics_mode):
+        freeride = FreeRide(common.train_config(epochs=1), seed=0)
+        requests = [_request(i, 0.1 * (i + 1)) for i in range(10)]
+        frontend = ServingFrontend(freeride, requests,
+                                   metrics_mode=metrics_mode)
+        freeride.sim.run(until=2.0)
+        with pytest.raises(ValueError, match="arrives in the past"):
+            frontend.feed([_request(10, 1.5)])
+        if metrics_mode == "records":
+            assert len(frontend.records) == 10
+        frontend.finalize()
+        metrics = frontend.metrics_for(2.0)
+        assert metrics.offered == metrics.admitted == 10
