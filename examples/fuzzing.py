@@ -8,7 +8,7 @@ three pieces the ``repro fuzz`` CLI verb composes:
   integer, byte-identical across processes;
 * the invariant registry + equivalence frames — global properties that
   must hold for every valid scenario, plus differential re-runs
-  (pool-vs-serial, heap-vs-calendar, ...) that must agree bit-for-bit;
+  (pool-vs-serial, traced-vs-untraced, ...) that must agree bit-for-bit;
 * the shrinker — given a failing predicate, bisect the spec toward the
   minimal repro you would commit to the corpus.
 

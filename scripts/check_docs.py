@@ -5,15 +5,19 @@ fine to run locally::
 
     PYTHONPATH=src python scripts/check_docs.py [--skip-examples]
 
-Two invariants:
+Three invariants:
 
 1. every scenario in ``repro list`` is documented — its name appears in
    API.md and in README.md (a scenario nobody can discover from the
    docs is a regression);
 2. every ``examples/*.py`` runs to completion under the tier-1
-   interpreter (an example that crashes is worse than no example).
+   interpreter (an example that crashes is worse than no example);
+3. every ``REPRO_*`` environment variable the docs name is read by
+   code under ``src/``, ``benchmarks/`` or ``scripts/`` — it appears
+   there as a quoted string literal (a documented knob that nothing
+   reads silently does nothing).
 
-A fast name-presence subset also runs in the tier-1 suite
+Invariants 1 and 3 also run in the tier-1 suite
 (``tests/test_docs.py``); this script adds the slow example-execution
 sweep.
 """
@@ -21,6 +25,7 @@ sweep.
 from __future__ import annotations
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -52,6 +57,32 @@ def check_scenarios_documented() -> "list[str]":
     return errors
 
 
+#: documents whose REPRO_* variables must be read by the code
+ENV_DOCS = ("README.md", "API.md", "ARCHITECTURE.md", "PERFORMANCE.md",
+            ".claude/skills/verify/SKILL.md")
+ENV_CODE_DIRS = ("src", "benchmarks", "scripts")
+ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+")
+
+
+def check_env_vars_read() -> "list[str]":
+    code = "\n".join(
+        path.read_text()
+        for directory in ENV_CODE_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+    )
+    errors = []
+    for doc in ENV_DOCS:
+        named = sorted(set(ENV_VAR.findall((REPO / doc).read_text())))
+        unread = [name for name in named
+                  if f'"{name}"' not in code and f"'{name}'" not in code]
+        if unread:
+            errors.append(
+                f"{doc} names environment variable(s) {unread} that no "
+                "code under src/, benchmarks/ or scripts/ reads"
+            )
+    return errors
+
+
 def check_examples_run() -> "list[str]":
     errors = []
     env_path = f"{REPO / 'src'}"
@@ -73,14 +104,14 @@ def check_examples_run() -> "list[str]":
 
 
 def main(argv: "list[str]") -> int:
-    errors = check_scenarios_documented()
+    errors = check_scenarios_documented() + check_env_vars_read()
     if "--skip-examples" not in argv:
         errors += check_examples_run()
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if not errors:
         print("docs consistent: every scenario documented, "
-              "every example runs")
+              "every documented env var read, every example runs")
     return 1 if errors else 0
 
 

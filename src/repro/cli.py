@@ -245,7 +245,7 @@ def main(argv: "list[str] | None" = None) -> int:
     fuzz_parser = commands.add_parser(
         "fuzz", help="draw seeded random scenarios, run each one, and "
                      "check every global invariant plus the equivalence "
-                     "frames (pool/streaming/traced/calendar/roundtrip); "
+                     "frames (pool/streaming/traced/roundtrip); "
                      "failures are shrunk to minimal repro specs")
     fuzz_parser.add_argument("--seed", type=int, default=0,
                              help="base seed; case i uses seed+i "
@@ -272,6 +272,11 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "fuzz":
+        if args.count < 1:
+            fuzz_parser.error(f"--count must be at least 1, got {args.count}")
+        if args.frames is not None and args.frames < 0:
+            fuzz_parser.error(
+                f"--frames must be at least 0, got {args.frames}")
         from repro.fuzz import FUZZ_KINDS, fuzz_many
 
         def progress(index: int, case) -> None:

@@ -45,8 +45,7 @@ def as_jobs(
 ) -> "list[ClusterJob]":
     """Normalize a mixed job/config sequence into :class:`ClusterJob`\\ s.
 
-    The legacy ``MultiServerFreeRide`` constructor took bare
-    ``TrainConfig`` objects; the builder accepts both shapes.
+    The builder accepts bare ``TrainConfig`` objects as well as jobs.
     """
     normalized = []
     for entry in jobs:

@@ -76,11 +76,6 @@ class ClusterResult:
     #: structured span trace (set when the spec enabled ``obs.trace``)
     trace: "TraceResult | None" = None
 
-    # -- back-compat with MultiServerResult -----------------------------
-    @property
-    def trainings(self) -> "list[TrainingResult]":
-        return [job.training for job in self.jobs]
-
     # -- aggregates -----------------------------------------------------
     @property
     def total_units(self) -> float:

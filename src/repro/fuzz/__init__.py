@@ -5,12 +5,12 @@ the declarative spec language itself into a test generator. A seeded,
 pure-function-of-one-integer generator draws random-but-reproducible
 :class:`~repro.api.spec.ScenarioSpec`s across every scenario kind and
 interacting knob (tenants x faults x retries x streaming metrics x
-vectorized arrivals x calendar queue x tracing); an invariant registry
+vectorized arrivals x policies); an invariant registry
 asserts global properties that must hold for *every* valid scenario
 (conservation of requests, terminal states, fairness bounds,
 availability, wasted-work accounting); a differential harness re-runs
 each spec under equivalence frames (JSON-round-trip, pool-vs-serial,
-traced-vs-untraced, heap-vs-calendar-queue, records-vs-streaming) and
+traced-vs-untraced, records-vs-streaming) and
 demands byte-identical digests (or the documented streaming bound); and
 a shrinker bisects any failing spec toward a minimal repro written to a
 corpus directory.

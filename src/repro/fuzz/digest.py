@@ -12,8 +12,7 @@ Two flavours:
 - :func:`digest_result` — the full digest: counters, quantiles, a hash
   over every per-record summary, task reports, fairness/resilience
   summaries. Frames that promise *byte-identical* behaviour
-  (JSON-round-trip, pool-vs-serial, traced-vs-untraced,
-  heap-vs-calendar) compare these.
+  (JSON-round-trip, pool-vs-serial, traced-vs-untraced) compare these.
 - :func:`exact_digest` — the full digest minus everything the streaming
   metrics mode only bounds rather than matches: quantile estimates
   (P² sketches vs exact sorted lists) and the per-record hash (the

@@ -1,7 +1,7 @@
 """Equivalence frames: ways of re-running a spec that must not change it.
 
-A *frame* is a transformation of either the spec or the execution
-environment that the system promises is behaviour-preserving:
+A *frame* is a transformation of the spec or of how it is executed that
+the system promises is behaviour-preserving:
 
 - ``json_roundtrip`` — serialize the spec to JSON and re-run the parsed
   copy (the export/import contract).
@@ -11,8 +11,6 @@ environment that the system promises is behaviour-preserving:
 - ``traced_vs_untraced`` — re-run with ``obs.trace=true``; tracing is
   pinned to consume no RNG, so everything except the attached trace is
   byte-identical (PR 7 contract).
-- ``heap_vs_calendar`` — re-run with ``REPRO_SIM_QUEUE=calendar``; the
-  calendar queue is pinned bit-exact against the heap (PR 9 contract).
 - ``records_vs_streaming`` — re-run with ``metrics.mode=streaming`` and
   compare the *exact* digest subset (counts, means, extremes, fairness
   counters, resilience accounting); quantile sketches are only bounded,
@@ -26,10 +24,8 @@ frame.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
-import os
 import typing
 
 from repro.fuzz.digest import digest_result, exact_digest
@@ -41,31 +37,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 # running a spec to a digest (module-level so the pool can pickle it)
 
-@contextlib.contextmanager
-def _env(pairs: "tuple[tuple[str, str], ...]"):
-    saved = {key: os.environ.get(key) for key, _ in pairs}
-    try:
-        for key, value in pairs:
-            os.environ[key] = value
-        yield
-    finally:
-        for key, previous in saved.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = previous
-
-
-def run_and_digest(
-    spec: "ScenarioSpec",
-    env: "tuple[tuple[str, str], ...]" = (),
-    exact_only: bool = False,
-) -> dict:
+def run_and_digest(spec: "ScenarioSpec", exact_only: bool = False) -> dict:
     """Run one spec through a fresh Session and digest the result."""
     from repro.api.session import Session
 
-    with _env(env):
-        result = Session(spec).run().results()
+    result = Session(spec).run().results()
     if exact_only:
         return exact_digest(spec, result)
     return digest_result(spec, result)
@@ -108,8 +84,6 @@ class Frame:
     description: str
     #: spec rewrite applied before the re-run (identity when None)
     transform: "typing.Callable | None" = None
-    #: environment overrides active during the re-run
-    env: "tuple[tuple[str, str], ...]" = ()
     #: route the re-run through the process-pool sweep path
     pooled: bool = False
     #: compare :func:`exact_digest` instead of the full digest
@@ -141,8 +115,7 @@ class Frame:
                     "pool produced two different digests for one spec"
                 )
             return digests[0]
-        return run_and_digest(variant, env=self.env,
-                              exact_only=self.exact_only)
+        return run_and_digest(variant, exact_only=self.exact_only)
 
 
 FRAMES: "tuple[Frame, ...]" = (
@@ -161,13 +134,6 @@ FRAMES: "tuple[Frame, ...]" = (
         "obs.trace=true consumes no RNG; results are byte-identical",
         transform=_traced_variant,
         predicate=lambda spec: not spec.obs.trace,
-    ),
-    Frame(
-        "heap_vs_calendar",
-        "calendar event queue is bit-exact against the heap",
-        env=(("REPRO_SIM_QUEUE", "calendar"),),
-        predicate=lambda spec: os.environ.get("REPRO_SIM_QUEUE", "heap")
-        == "heap",
     ),
     Frame(
         "records_vs_streaming",

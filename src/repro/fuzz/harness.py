@@ -10,7 +10,7 @@ every failure to a minimal repro, and a corpus file per failure whose
 top-level ``"scenario"`` key makes it directly loadable by
 ``repro run fuzzcase --spec <file>``.
 
-Frame budgeting: running all five frames quintuples each case's cost,
+Frame budgeting: running all four frames quadruples each case's cost,
 so the tier-1 slice rotates through the applicable frames
 (``frame_budget=1`` runs a different single frame per case index);
 ``repro fuzz`` and the nightly job run them all.

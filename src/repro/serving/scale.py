@@ -10,8 +10,7 @@ per-request workload simulation for a seeded G/G/c service model:
   :meth:`~repro.serving.arrivals.ArrivalProcess.iter_time_chunks` and
   scheduled via a self-chaining driver timeout, so no more than one
   chunk of future arrivals is ever pending;
-* **the event core** is the real :class:`~repro.sim.engine.Engine` —
-  ``--queue calendar`` exercises the bucketed queue on the same run;
+* **the event core** is the real :class:`~repro.sim.engine.Engine`;
 * **metrics** are the real constant-memory streaming accumulators
   (:class:`~repro.metrics.latency.StreamingLatencyStats`); ``--mode
   records`` retains per-request latency samples instead, which is the
@@ -22,8 +21,7 @@ exponentially distributed service time whose mean is derived from the
 target ``utilization`` (``mean_service = servers * utilization /
 rate``); a bounded FIFO queue in front rejects overflow, like the
 frontend's admission queue. Everything is seeded, so the deterministic
-half of :class:`ScaleResult` is byte-stable across runs, processes and
-queue implementations.
+half of :class:`ScaleResult` is byte-stable across runs and processes.
 
 Peak RSS is read from ``resource.getrusage`` — a *lifetime* high-water
 mark, which is why the benchmark ladder (``benchmarks/bench_scale.py``)
@@ -99,7 +97,6 @@ class ScaleResult:
     rejected: int
     horizon_s: float
     mode: str
-    queue_kind: str
     #: events the engine processed during the run
     events: int
     #: waiting-time digest (arrival -> service start), seconds
@@ -119,7 +116,6 @@ class ScaleResult:
             "rejected": self.rejected,
             "horizon_s": self.horizon_s,
             "mode": self.mode,
-            "queue_kind": self.queue_kind,
             "events": self.events,
             "wait": self.wait,
             "sojourn": self.sojourn,
@@ -143,13 +139,14 @@ def run_scale(
     kind: str = "poisson",
     seed: int = 0,
     mode: str = "streaming",
-    queue: "str | None" = None,
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
     vectorized: bool = True,
 ) -> ScaleResult:
     """Run one rung of the scale ladder and return its digest."""
     if requests <= 0:
         raise ValueError(f"request count must be positive, got {requests}")
+    if not rate_per_s > 0:
+        raise ValueError(f"arrival rate must be positive, got {rate_per_s}")
     if servers <= 0:
         raise ValueError(f"server count must be positive, got {servers}")
     if not 0.0 < utilization < 1.0:
@@ -160,7 +157,7 @@ def run_scale(
 
     horizon_s = requests / rate_per_s
     mean_service_s = servers * utilization / rate_per_s
-    engine = Engine(queue=queue)
+    engine = Engine()
     process = make_arrivals(kind, rate_per_s, seed=seed,
                             vectorized=vectorized)
     service_rng = RandomStreams(seed).stream("scale:service")
@@ -248,7 +245,6 @@ def run_scale(
         rejected=counts["rejected"],
         horizon_s=horizon_s,
         mode=mode,
-        queue_kind=engine.queue_kind,
         events=engine.events_processed,
         wait=wait,
         sojourn=sojourn,
@@ -276,25 +272,25 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     parser.add_argument("--mode", choices=("records", "streaming"),
                         default="streaming",
                         help="metrics mode (records keeps every sample)")
-    parser.add_argument("--queue", choices=("heap", "calendar"), default=None,
-                        help="event queue (default: REPRO_SIM_QUEUE or heap)")
     parser.add_argument("--scalar", action="store_true",
                         help="use the scalar arrival generators")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print the result as one JSON object")
     args = parser.parse_args(argv)
 
-    result = run_scale(
-        requests=args.requests,
-        rate_per_s=args.rate,
-        servers=args.servers,
-        utilization=args.utilization,
-        kind=args.kind,
-        seed=args.seed,
-        mode=args.mode,
-        queue=args.queue,
-        vectorized=not args.scalar,
-    )
+    try:
+        result = run_scale(
+            requests=args.requests,
+            rate_per_s=args.rate,
+            servers=args.servers,
+            utilization=args.utilization,
+            kind=args.kind,
+            seed=args.seed,
+            mode=args.mode,
+            vectorized=not args.scalar,
+        )
+    except ValueError as error:  # run_scale's argument checks
+        parser.error(str(error))
     if args.as_json:
         print(json.dumps(result.to_json()))
     else:

@@ -13,25 +13,17 @@ once per distinct instant, and the ``until``-horizon loop pops first and
 compares the popped time against the horizon (pushing the one
 overshooting event back) instead of peeking ``heap[0][0]`` twice per
 event.
-
-The pending set lives in a plain binary heap by default. Constructing
-``Engine(queue="calendar")`` — or setting ``REPRO_SIM_QUEUE=calendar`` —
-swaps in the bucketed :class:`~repro.sim.calqueue.CalendarQueue`, which
-processes events in exactly the same order (pinned by golden tests) but
-pays ``log`` of one bucket instead of ``log`` of the whole pending set
-per operation.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import typing
 from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 from repro.obs.telemetry import PROCESS, Telemetry
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.calqueue import DEFAULT_BUCKET_WIDTH, CalendarQueue
 from repro.sim.events import PROCESSED, SimEvent, Timeout
 from repro.sim.process import Process
 
@@ -59,42 +51,12 @@ def add_foreign_events(count: int) -> None:
     _PROCESS_EVENTS.add(count)
 
 
-#: Recognized values for ``Engine(queue=...)`` / ``REPRO_SIM_QUEUE``.
-QUEUE_KINDS = ("heap", "calendar")
-
-
 class Engine:
-    """Drives a discrete-event simulation in virtual seconds.
+    """Drives a discrete-event simulation in virtual seconds."""
 
-    ``queue`` picks the pending-event structure: ``"heap"`` (the
-    default) keeps the classic global binary heap; ``"calendar"`` uses
-    the bucketed :class:`~repro.sim.calqueue.CalendarQueue` with
-    ``bucket_width``-second buckets. ``None`` defers to the
-    ``REPRO_SIM_QUEUE`` environment variable (falling back to the
-    heap), so a whole run can be switched without touching every
-    ``Engine()`` construction site. Event order is identical either
-    way.
-    """
-
-    def __init__(self, queue: str | None = None,
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH):
-        if queue is None:
-            queue = os.environ.get("REPRO_SIM_QUEUE", "heap")
-        if queue not in QUEUE_KINDS:
-            raise SimulationError(
-                f"unknown event queue {queue!r}; expected one of {QUEUE_KINDS}"
-            )
-        self.queue_kind = queue
+    def __init__(self):
         self._now: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
-        if queue == "calendar":
-            self._queue: CalendarQueue | None = CalendarQueue(bucket_width)
-            #: fast-path insert hook; ``None`` means "heappush onto
-            #: ``_heap``" (open-coded by Timeout.__init__ and _schedule)
-            self._push: typing.Callable[[tuple], None] | None = self._queue.push
-        else:
-            self._queue = None
-            self._push = None
         self._sequence = 0
         self._processes_started = 0
         #: events this engine has popped and processed
@@ -131,29 +93,18 @@ class Engine:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         seq = self._sequence
         self._sequence = seq + 1
-        item = (self._now + delay, seq, event)
-        if self._push is None:
-            heappush(self._heap, item)
-        else:
-            self._push(item)
+        heappush(self._heap, (self._now + delay, seq, event))
 
     # -- execution ---------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next event, or ``inf`` when the queue is empty."""
-        if self._queue is not None:
-            return self._queue.peek_time()
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        if self._queue is not None:
-            if not self._queue:
-                raise SimulationError("step() on an empty event heap")
-            when, _seq, event = self._queue.pop()
-        else:
-            if not self._heap:
-                raise SimulationError("step() on an empty event heap")
-            when, _seq, event = heappop(self._heap)
+        if not self._heap:
+            raise SimulationError("step() on an empty event heap")
+        when, _seq, event = heappop(self._heap)
         if when < self._now:
             raise SimulationError("event heap corrupted: time moved backwards")
         self._now = when
@@ -176,8 +127,6 @@ class Engine:
         the horizon loop pops first and pushes back the one event that
         overshoots rather than peeking the front twice per event.
         """
-        if self._queue is not None:
-            return self._run_calendar(until)
         heap = self._heap
         processed = 0
         try:
@@ -209,6 +158,8 @@ class Engine:
                 return stop_event.value
 
             horizon = float(until)
+            if math.isnan(horizon):
+                raise SimulationError("cannot run until NaN")
             if horizon < self._now:
                 raise SimulationError(
                     f"cannot run until {horizon}; clock is already at {self._now}"
@@ -226,54 +177,6 @@ class Engine:
                     item = heappop(heap)
                     processed += 1
                     item[2]._process()
-            self._now = horizon
-            return None
-        finally:
-            self._account(processed)
-
-    def _run_calendar(self, until: float | SimEvent | None) -> object:
-        """The :meth:`run` drain loops over a :class:`CalendarQueue`."""
-        queue = self._queue
-        assert queue is not None
-        pop = queue.pop
-        processed = 0
-        try:
-            if until is None:
-                while queue:
-                    item = pop()
-                    self._now = item[0]
-                    processed += 1
-                    item[2]._process()
-                return None
-
-            if isinstance(until, SimEvent):
-                stop_event = until
-                while stop_event._state != PROCESSED:
-                    if not queue:
-                        raise SimulationError(
-                            "simulation ran out of events before "
-                            f"{stop_event!r} was processed"
-                        )
-                    item = pop()
-                    self._now = item[0]
-                    processed += 1
-                    item[2]._process()
-                return stop_event.value
-
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"cannot run until {horizon}; clock is already at {self._now}"
-                )
-            while queue:
-                item = pop()
-                when = item[0]
-                if when > horizon:
-                    queue.push(item)
-                    break
-                self._now = when
-                processed += 1
-                item[2]._process()
             self._now = horizon
             return None
         finally:

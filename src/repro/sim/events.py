@@ -143,11 +143,7 @@ class Timeout(SimEvent):
         self.delay = delay
         seq = engine._sequence
         engine._sequence = seq + 1
-        push = engine._push
-        if push is None:
-            heappush(engine._heap, (engine._now + delay, seq, self))
-        else:
-            push((engine._now + delay, seq, self))
+        heappush(engine._heap, (engine._now + delay, seq, self))
 
     @property
     def name(self) -> str:  # shadows the SimEvent slot; computed lazily

@@ -1,10 +1,10 @@
 """The PR-3 deprecation shims are gone; the programmatic facades stay.
 
 The legacy per-experiment ``run()`` bodies, the positional CLI form,
-and the ``freeride`` script alias were scheduled for deletion "next
-release" — these tests pin that they are actually gone, and that the
-supported programmatic surface (``FreeRide`` driven by hand, the
-``extensions.multi_server`` re-export shim) still works.
+the ``freeride`` script alias and the ``repro.extensions`` re-export
+shim were scheduled for deletion — these tests pin that they are
+actually gone, and that the supported programmatic surface
+(``FreeRide`` driven by hand) still works.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ def test_freeride_facade_still_works():
     assert result.tasks[0].steps_done > 0
 
 
-def test_multi_server_shim_re_exports_cluster():
-    """extensions/multi_server.py survives only as a re-export shim."""
-    from repro.cluster import Cluster, ClusterResult
-    from repro.extensions import multi_server
-
-    assert multi_server.MultiServerFreeRide is Cluster
-    assert multi_server.MultiServerResult is ClusterResult
+def test_multi_server_shim_is_gone():
+    with pytest.raises(ImportError):
+        import repro.extensions.multi_server  # noqa: F401

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api.session import (
@@ -13,7 +15,7 @@ from repro.api.session import (
 )
 from repro.api.spec import ArrivalSpec, ScenarioSpec, TrainingSpec, WorkloadSpec
 from repro.core.middleware import FreeRideResult
-from repro.errors import SessionError, SpecError
+from repro.errors import SessionError, SimulationError, SpecError
 from repro.pipeline.engine import TrainingResult
 from repro.serving.frontend import ServingResult
 
@@ -60,6 +62,13 @@ class TestLifecycle:
     def test_unconfigured_session_raises(self):
         with pytest.raises(SessionError, match="no scenario"):
             Session().run()
+
+    def test_nan_settle_time_from_a_spec_file_is_rejected(self):
+        data = batch_spec().to_dict()
+        data["params"] = {"settle_s": float("nan")}  # dumps as NaN
+        spec = ScenarioSpec.from_json(json.dumps(data))
+        with pytest.raises(SimulationError, match="NaN"):
+            Session(spec).run()
 
     def test_submit_after_run_raises(self):
         session = Session(batch_spec())

@@ -22,9 +22,11 @@ from repro.api.spec import (
     WorkloadSpec,
 )
 from repro.cluster import Cluster, ClusterBuilder, ClusterResult
+from repro.core.states import SideTaskState
 from repro.errors import SessionError, SpecError
 from repro.experiments import common
 from repro.pipeline.config import TrainConfig, model_config
+from repro.workloads.registry import workload_factory
 
 
 def cluster_spec(jobs=2, **overrides) -> ScenarioSpec:
@@ -152,6 +154,52 @@ class TestBuilder:
         assert cluster.job_of_worker(config.num_stages + 1) == (1, 1)
         with pytest.raises(IndexError):
             cluster.job_of_worker(2 * config.num_stages)
+
+
+# ----------------------------------------------------------------------
+# Cluster driven by hand: submit, then run
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def two_jobs():
+    configs = [
+        TrainConfig(model=model_config("3.6B"), epochs=3, op_jitter=0.01),
+        TrainConfig(model=model_config("1.2B"), epochs=3, op_jitter=0.01,
+                    seed=1),
+    ]
+    cluster = Cluster(configs)
+    accepted = sum(
+        cluster.submit(workload_factory("pagerank")) is not None
+        for _ in range(8))
+    return cluster, accepted, cluster.run()
+
+
+class TestClusterByHand:
+    def test_needs_at_least_one_job(self):
+        with pytest.raises(ValueError, match="at least one"):
+            Cluster([])
+
+    def test_manager_sees_workers_from_both_jobs(self, two_jobs):
+        cluster, _accepted, _result = two_jobs
+        assert len(cluster.workers) == 8
+        assert len(cluster.pipelines) == 2
+
+    def test_one_task_per_global_worker(self, two_jobs):
+        _cluster, accepted, result = two_jobs
+        assert accepted == 8
+        assert sorted(report.stage for report in result.tasks) == \
+            list(range(8))
+
+    def test_both_trainings_complete(self, two_jobs):
+        _cluster, _accepted, result = two_jobs
+        assert len(result.jobs) == 2
+        for job in result.jobs:
+            assert len(job.training.trace.epochs) == 3
+
+    def test_every_task_harvested_bubbles(self, two_jobs):
+        _cluster, _accepted, result = two_jobs
+        for report in result.tasks:
+            assert report.final_state is SideTaskState.STOPPED
+            assert report.steps_done > 0, report.name
 
 
 # ----------------------------------------------------------------------

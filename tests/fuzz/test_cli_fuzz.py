@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.api import registry
 from repro.cli import main
 from repro.fuzz import draw_spec
@@ -21,6 +23,18 @@ def test_fuzz_verb_kind_filter(tmp_path, capsys):
     assert main(["fuzz", "--seed", "0", "--count", "2", "--frames", "0",
                  "--kind", "batch", "--corpus", str(tmp_path)]) == 0
     assert "batch=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--count", "0"], "--count must be at least 1"),
+    (["--count", "-3"], "--count must be at least 1"),
+    (["--frames", "-1"], "--frames must be at least 0"),
+])
+def test_fuzz_verb_rejects_bad_counts(tmp_path, capsys, args, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "--corpus", str(tmp_path), *args])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_fuzzcase_is_registered_and_any_kind():

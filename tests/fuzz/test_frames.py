@@ -29,7 +29,7 @@ def _serving_spec(**kwargs) -> ScenarioSpec:
 def test_frame_names_cover_the_contract():
     assert [frame.name for frame in FRAMES] == [
         "json_roundtrip", "pool_vs_serial", "traced_vs_untraced",
-        "heap_vs_calendar", "records_vs_streaming",
+        "records_vs_streaming",
     ]
 
 

@@ -120,3 +120,7 @@ class TestTraceSummary:
         assert summary["ops"] == len(result.trace.ops)
         assert summary["bubble_count"] == len(result.trace.bubbles)
         assert json.dumps(summary)  # JSON-serializable digest
+
+    def test_bubble_rate_is_in_the_papers_range(self, training):
+        result, _ = training
+        assert 0.3 < trace_summary(result.trace)["bubble_rate"] < 0.5

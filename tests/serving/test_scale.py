@@ -1,4 +1,4 @@
-"""The scale-ladder harness: determinism, mode/queue invariance, CLI."""
+"""The scale-ladder harness: determinism, mode invariance, CLI."""
 
 from __future__ import annotations
 
@@ -22,13 +22,6 @@ def _digest(**overrides) -> dict:
 class TestRunScale:
     def test_deterministic_across_runs(self):
         assert _digest() == _digest()
-
-    def test_heap_and_calendar_queues_agree(self):
-        heap = _digest(queue="heap")
-        calendar = _digest(queue="calendar")
-        assert calendar["queue_kind"] == "calendar"
-        heap.pop("queue_kind"), calendar.pop("queue_kind")
-        assert calendar == heap
 
     def test_scalar_and_vectorized_arrivals_agree_on_counts(self):
         vector = _digest(vectorized=True)
@@ -70,6 +63,8 @@ class TestRunScale:
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match="request count"):
             run_scale(requests=0)
+        with pytest.raises(ValueError, match="arrival rate"):
+            run_scale(requests=10, rate_per_s=0.0)
         with pytest.raises(ValueError, match="utilization"):
             run_scale(requests=10, utilization=1.5)
         with pytest.raises(ValueError, match="mode"):
@@ -96,6 +91,18 @@ class TestScaleCli:
         assert main(["--requests", "1000", "--rate", "400"]) == 0
         out = capsys.readouterr().out
         assert "events/s" in out and "peak_rss" in out
+
+    @pytest.mark.parametrize("args, message", [
+        (["--requests", "0"], "request count must be positive"),
+        (["--rate", "0"], "arrival rate must be positive"),
+        (["--servers", "0"], "server count must be positive"),
+        (["--utilization", "1.5"], "utilization must be in (0, 1)"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, capsys, args, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_cli_matches_api_digest(self, capsys):
         main(["--requests", "1000", "--rate", "400", "--seed", "3",

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -85,3 +89,189 @@ def test_peek_reports_next_event_time(engine: Engine):
     assert engine.peek() == float("inf")
     engine.timeout(4.0)
     assert engine.peek() == pytest.approx(4.0)
+
+
+def test_run_until_horizon_before_any_event_keeps_it_pending(engine: Engine):
+    """The first over-horizon event is popped, compared and pushed back;
+    it must still fire on the next run() call."""
+    fired: list[object] = []
+    engine.timeout(3.0, value="late").callbacks.append(
+        lambda ev: fired.append(ev.value)
+    )
+    engine.run(until=1.0)
+    assert engine.now == 1.0 and fired == []
+    engine.run()
+    assert fired == ["late"] and engine.now == 3.0
+
+
+def test_step_and_peek_walk_the_queue_in_time_order(engine: Engine):
+    engine.timeout(1.0, value="a")
+    engine.timeout(0.25, value="b")
+    assert engine.peek() == 0.25
+    engine.step()
+    assert engine.now == 0.25 and engine.peek() == 1.0
+    engine.step()
+    assert engine.now == 1.0 and engine.events_processed == 2
+    assert engine.peek() == float("inf")
+    with pytest.raises(SimulationError, match="empty"):
+        engine.step()
+
+
+def test_run_until_event_leaves_later_events_pending(engine: Engine):
+    done = engine.timeout(0.5, value=42)
+    engine.timeout(2.0)
+    assert engine.run(until=done) == 42
+    assert engine.now == 0.5 and engine.peek() == 2.0
+
+
+#: the three ways to drain the queue; each is its own code path
+DRIVES = ("run", "horizons", "step")
+
+
+def _drive(engine: Engine, drive: str) -> None:
+    if drive == "run":
+        engine.run()
+    elif drive == "horizons":
+        # many short run(until=...) calls: each ends by pushing the
+        # first over-horizon event back onto the heap
+        horizon = 0.0
+        while engine.peek() != float("inf"):
+            horizon += 0.5
+            engine.run(until=horizon)
+    else:
+        while engine.peek() != float("inf"):
+            engine.step()
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("drive", DRIVES)
+def test_random_timeouts_fire_in_time_then_schedule_order(
+    engine: Engine, drive: str, seed: int
+):
+    rng = random.Random(seed)
+    # two decimals over 40 s make many same-instant ties
+    delays = [round(rng.uniform(0.0, 40.0), 2) for _ in range(2000)]
+    fired: list[int] = []
+    for index, delay in enumerate(delays):
+        engine.timeout(delay).callbacks.append(
+            lambda _ev, index=index: fired.append(index)
+        )
+    _drive(engine, drive)
+    assert fired == sorted(range(len(delays)), key=lambda i: (delays[i], i))
+    assert engine.events_processed == len(delays)
+
+
+def _spawning_log(schedule, now, budget: int = 3000) -> list:
+    """Each firing logs ``(id, time)`` and schedules one or two more
+    events (until ``budget`` exist), drawing delays from one seeded
+    stream. ``schedule(delay, fire)`` and ``now()`` bind it to a queue;
+    the returned log fills as that queue is drained."""
+    rng = random.Random(3)
+    log: list = []
+    made = 0
+
+    def spawn() -> None:
+        nonlocal made
+        if made < budget:
+            ident = made
+            made += 1
+            schedule(round(rng.uniform(0.0, 2.0), 2), lambda: fire(ident))
+
+    def fire(ident: int) -> None:
+        log.append((ident, now()))
+        for _ in range(rng.choice((1, 2))):
+            spawn()
+
+    for _ in range(10):
+        spawn()
+    return log
+
+
+@pytest.mark.parametrize("drive", DRIVES)
+def test_scheduling_while_running_matches_a_reference_heap(
+    engine: Engine, drive: str
+):
+    """Events scheduled from callbacks (zero delays included) interleave
+    with pending ones exactly as one ``heapq`` of ``(time, seq)`` pops."""
+    heap: list = []
+    seq = itertools.count()
+    clock = 0.0
+
+    def push(delay, fire):
+        heapq.heappush(heap, (clock + delay, next(seq), fire))
+
+    reference = _spawning_log(push, lambda: clock)
+    while heap:
+        clock, _seq, fire = heapq.heappop(heap)
+        fire()
+
+    log = _spawning_log(
+        lambda delay, fire: engine.timeout(delay).callbacks.append(
+            lambda _ev: fire()
+        ),
+        lambda: engine.now,
+    )
+    _drive(engine, drive)
+    assert len(log) == 3000
+    assert log == reference
+
+
+def test_run_until_nan_is_rejected(engine: Engine):
+    engine.timeout(1.0)
+    with pytest.raises(SimulationError, match="NaN"):
+        engine.run(until=float("nan"))
+    assert engine.now == 0.0
+    assert engine.peek() == 1.0
+
+
+#: (time, ticker, tick) in firing order. "fast" and "tied" tick on the
+#: same instants, so each pair fires in scheduling order.
+TICKER_GOLDEN = [
+    (0.093, "fast", 0), (0.093, "tied", 0), (0.186, "fast", 1),
+    (0.186, "tied", 1), (0.279, "fast", 2), (0.279, "tied", 2),
+    (0.31, "slow", 0), (0.372, "fast", 3), (0.372, "tied", 3),
+    (0.465, "fast", 4), (0.465, "tied", 4), (0.558, "fast", 5),
+    (0.558, "tied", 5), (0.62, "slow", 1), (0.651, "fast", 6),
+    (0.651, "tied", 6), (0.744, "fast", 7), (0.744, "tied", 7),
+    (0.837, "fast", 8), (0.837, "tied", 8), (0.93, "fast", 9),
+    (0.93, "tied", 9), (0.93, "slow", 2), (1.023, "fast", 10),
+    (1.023, "tied", 10), (1.116, "fast", 11), (1.116, "tied", 11),
+    (1.209, "fast", 12), (1.209, "tied", 12), (1.24, "slow", 3),
+    (1.302, "fast", 13), (1.302, "tied", 13), (1.395, "fast", 14),
+    (1.395, "tied", 14), (1.488, "fast", 15), (1.488, "tied", 15),
+    (1.55, "slow", 4), (1.581, "fast", 16), (1.581, "tied", 16),
+    (1.674, "fast", 17), (1.674, "tied", 17), (1.767, "fast", 18),
+    (1.767, "tied", 18), (1.86, "fast", 19), (1.86, "tied", 19),
+    (1.86, "slow", 5), (1.953, "fast", 20), (1.953, "tied", 20),
+    (2.046, "fast", 21), (2.046, "tied", 21), (2.139, "fast", 22),
+    (2.139, "tied", 22), (2.17, "slow", 6), (2.232, "fast", 23),
+    (2.232, "tied", 23), (2.325, "fast", 24), (2.325, "tied", 24),
+    (2.418, "fast", 25), (2.418, "tied", 25), (2.48, "slow", 7),
+    (2.511, "fast", 26), (2.511, "tied", 26), (2.604, "fast", 27),
+    (2.604, "tied", 27), (2.697, "fast", 28), (2.697, "tied", 28),
+    (2.79, "fast", 29), (2.79, "tied", 29), (2.79, "slow", 8),
+    (2.883, "fast", 30), (2.883, "tied", 30), (2.976, "fast", 31),
+    (2.976, "tied", 31), (3.069, "fast", 32), (3.069, "tied", 32),
+    (3.1, "slow", 9), (3.162, "fast", 33), (3.162, "tied", 33),
+    (3.255, "fast", 34), (3.255, "tied", 34), (3.348, "fast", 35),
+    (3.348, "tied", 35), (3.41, "slow", 10), (3.441, "fast", 36),
+    (3.441, "tied", 36), (3.534, "fast", 37), (3.534, "tied", 37),
+    (3.627, "fast", 38), (3.627, "tied", 38), (3.72, "fast", 39),
+    (3.72, "tied", 39), (3.72, "slow", 11),
+]
+
+
+def test_three_ticker_event_order_golden(engine: Engine):
+    log: list = []
+
+    def ticker(name, period, count):
+        for index in range(count):
+            yield engine.timeout(period)
+            log.append((round(engine.now, 9), name, index))
+
+    engine.process(ticker("fast", 0.093, 40))
+    engine.process(ticker("slow", 0.31, 12))
+    engine.process(ticker("tied", 0.093, 40))
+    engine.run(until=5.0)
+    engine.run()
+    assert log == TICKER_GOLDEN
