@@ -124,16 +124,15 @@ class IterativeSideTask(SideTaskBase):
         the default body realizes the profiled step duration with the
         profiled host/GPU split. Override for custom step structure.
         """
-        host_s = self.perf.step_time_s * (1.0 - self.perf.gpu_duty)
-        kernel_s = self.perf.step_time_s * self.perf.gpu_duty
+        perf = self.perf
+        step_time_s = perf.step_time_s
+        host_s = step_time_s * (1.0 - perf.gpu_duty)
+        kernel_s = step_time_s * perf.gpu_duty
         if host_s > 0:
             yield ctx.engine.timeout(ctx.jitter(host_s))
         self.compute_step()
-        yield ctx.proc.launch_kernel(
-            work_s=ctx.jitter(kernel_s),
-            sm_demand=self.perf.sm_demand,
-            name=self.name,
-        )
+        yield ctx.proc.launch_kernel(ctx.jitter(kernel_s), perf.sm_demand,
+                                     self.name)
         self._account_step()
 
     @abc.abstractmethod

@@ -73,19 +73,19 @@ class RpcChannel:
         self.casts_sent += 1
         engine = self.engine
         if self.drop_windows:
-            window_end = self._dropped_until(engine._now)
+            window_end = self._dropped_until(engine.now)
             if window_end is not None:
                 # Dropped: the sender's retry lands one retransmit delay
                 # after the window closes (and is re-checked then, in
                 # case windows overlap).
                 self.drops += 1
-                retry_at = window_end - engine._now + self.retransmit_delay_s
+                retry_at = window_end - engine.now + self.retransmit_delay_s
                 timeout = engine.timeout(retry_at)
                 timeout.callbacks.append(
                     lambda _ev: self.cast(handler, *args, **kwargs)
                 )
                 return
-        due = engine._now + self.latency_s
+        due = engine.now + self.latency_s
         batch = self._batch
         if (
             batch is not None

@@ -288,13 +288,17 @@ class SideTaskRuntime:
         if self.notify is not None:
             self.notify(self)
 
-    def _next_command(self):
+    def _wait_for_command_event(self):
+        """Block until at least one command is queued."""
         while not self._commands:
             if self._command_event is None or self._command_event.processed:
                 self._command_event = self.sim.event(
                     name=f"{self.spec.name}:cmd"
                 )
             yield self._command_event
+
+    def _next_command(self):
+        yield from self._wait_for_command_event()
         return self._commands.popleft()
 
     def _do_init(self):
@@ -354,14 +358,29 @@ class IterativeRuntime(SideTaskRuntime):
 
     def _running_loop(self, bubble_end: float | None):
         """Run steps while RUNNING; returns True when STOP arrived."""
+        # Loop invariants, read once per START: the runtime's collaborators
+        # (a restore replaces ctx, injector and stage only on a new loop)
+        # and the calibration constants.
+        sim = self.sim
+        machine = self.machine
+        commands = self._commands
+        workload = self.workload
+        ctx = self.ctx
+        injector = self.injector
+        checkpoint = self.spec.checkpoint
+        name = self.spec.name
+        running = SideTaskState.RUNNING
         step_time = self.spec.profile.step_time_s
-        margin = 1.0 + calibration.STEP_FIT_SAFETY_MARGIN
-        while self.machine.state is SideTaskState.RUNNING:
-            if self._commands:
-                command = self._commands.popleft()
+        # now + step_time * margin, with the product rounded once here
+        reach = (None if step_time is None else
+                 step_time * (1.0 + calibration.STEP_FIT_SAFETY_MARGIN))
+        overhead = calibration.ITERATIVE_STEP_OVERHEAD_S
+        while machine.state is running:
+            if commands:
+                command = commands.popleft()
                 if command.kind is CommandKind.PAUSE:
-                    self.machine.apply(Transition.PAUSE, self.sim.now)
-                    self.last_paused_at = self.sim.now
+                    machine.apply(Transition.PAUSE, sim.now)
+                    self.last_paused_at = sim.now
                     self._notify()
                     return False
                 if command.kind is CommandKind.STOP:
@@ -369,45 +388,41 @@ class IterativeRuntime(SideTaskRuntime):
                 if command.kind is CommandKind.START:
                     bubble_end = command.bubble_end  # refreshed window
                 continue
-            fits = True
-            if bubble_end is not None and step_time is not None:
-                fits = self.sim.now + step_time * margin <= bubble_end
-            if not fits:
+            # Written as not (... <= ...) so a NaN bubble end never fits.
+            if (bubble_end is not None and reach is not None
+                    and not (sim.now + reach <= bubble_end)):
                 # Program-directed limit: idle out the bubble's tail.
-                wait_start = self.sim.now
+                wait_start = sim.now
                 yield from self._wait_for_command_event()
-                idle_end = min(self.sim.now, max(bubble_end, wait_start))
+                idle_end = min(sim.now, max(bubble_end, wait_start))
                 self.insufficient_s += max(0.0, idle_end - wait_start)
                 continue
-            overhead = calibration.ITERATIVE_STEP_OVERHEAD_S
             if overhead > 0:
-                yield self.sim.timeout(overhead)
+                yield sim.timeout(overhead)
                 self.overhead_s += overhead
-            if self.injector is not None and self.injector.step_fails(
-                self.spec.name
-            ):
+            if injector is not None and injector.step_fails(name):
                 # The step ran but its result is lost; the loop re-runs it.
-                fail_start = self.sim.now
+                fail_start = sim.now
                 if step_time is not None and step_time > 0:
-                    yield self.sim.timeout(step_time)
+                    yield sim.timeout(step_time)
                 self.step_failures += 1
-                self.wasted_s += self.sim.now - fail_start
+                self.wasted_s += sim.now - fail_start
                 continue
-            self.machine.apply(Transition.RUN_NEXT_STEP, self.sim.now)
-            step_start = self.sim.now
-            yield from self.workload.run_next_step(self.ctx)
-            if self.injector is not None:
+            machine.apply(Transition.RUN_NEXT_STEP, sim.now)
+            step_start = sim.now
+            yield from workload.run_next_step(ctx)
+            if injector is not None:
                 # Straggler window: the step takes factor× its normal time.
-                factor = self.injector.slowdown_factor(self.stage, step_start)
+                factor = injector.slowdown_factor(self.stage, step_start)
                 if factor > 1.0:
-                    extra = (self.sim.now - step_start) * (factor - 1.0)
+                    extra = (sim.now - step_start) * (factor - 1.0)
                     if extra > 0:
-                        yield self.sim.timeout(extra)
+                        yield sim.timeout(extra)
                         self.slowdown_s += extra
-            self.running_s += self.sim.now - step_start
-            if self.workload.is_finished:
+            self.running_s += sim.now - step_start
+            if workload.is_finished:
                 return True
-            if self._should_checkpoint():
+            if checkpoint is not None and self._should_checkpoint():
                 yield from self._take_checkpoint()
         return False
 
@@ -435,14 +450,6 @@ class IterativeRuntime(SideTaskRuntime):
         # generator resumes; only a still-checkpointing task resumes.
         if self.machine.state is SideTaskState.CHECKPOINTED:
             self.machine.apply(Transition.RESUME, self.sim.now)
-
-    def _wait_for_command_event(self):
-        while not self._commands:
-            if self._command_event is None or self._command_event.processed:
-                self._command_event = self.sim.event(
-                    name=f"{self.spec.name}:cmd"
-                )
-            yield self._command_event
 
 
 class ImperativeRuntime(SideTaskRuntime):

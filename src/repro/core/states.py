@@ -36,6 +36,12 @@ from repro.errors import IllegalTransitionError
 
 
 class SideTaskState(enum.Enum):
+    # Members are singletons compared by identity, so they hash by
+    # identity too: the C-level object hash instead of Enum's Python-level
+    # hash of the member name (string hashes are randomized per process,
+    # so no output could depend on either order).
+    __hash__ = object.__hash__
+
     SUBMITTED = "SUBMITTED"
     CREATED = "CREATED"
     PAUSED = "PAUSED"
@@ -48,6 +54,8 @@ class SideTaskState(enum.Enum):
 
 
 class Transition(enum.Enum):
+    __hash__ = object.__hash__  # identity, as for SideTaskState
+
     CREATE = "CreateSideTask"
     INIT = "InitSideTask"
     START = "StartSideTask"
@@ -126,16 +134,16 @@ class StateMachine:
 
     def apply(self, transition: Transition, now: float = 0.0) -> SideTaskState:
         """Apply ``transition``; raises :class:`IllegalTransitionError`."""
-        key = (self.state, transition)
-        if key not in TRANSITION_TABLE:
+        state = TRANSITION_TABLE.get((self.state, transition))
+        if state is None:
             raise IllegalTransitionError(
                 self.state.value, transition.value, task_id=self.task_id
             )
-        self.state = TRANSITION_TABLE[key]
-        self.history.append((now, self.state))
+        self.state = state
+        self.history.append((now, state))
         if self.observer is not None:
-            self.observer(now, self.state)
-        return self.state
+            self.observer(now, state)
+        return state
 
     def can_apply(self, transition: Transition) -> bool:
         return (self.state, transition) in TRANSITION_TABLE

@@ -6,7 +6,10 @@ the sum of interference imposed by concurrently-running kernels of *other*
 processes (see :mod:`repro.gpu.kernel`). Whenever the active-kernel set
 changes, remaining work is settled at the old rates and completions are
 rescheduled at the new rates — the standard processor-sharing construction
-for discrete-event simulators.
+for discrete-event simulators. A kernel that lands on an idle device
+skips that pass: alone, it has nothing to settle and a slowdown of
+exactly 1, so :meth:`SimGPU.launch` schedules its completion directly
+with the same arithmetic on the same values.
 
 The device also keeps:
 
@@ -17,11 +20,13 @@ The device also keeps:
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.errors import GpuOutOfMemoryError, SimulationError
 from repro.gpu.kernel import Kernel, Priority
 from repro.gpu.sharing import SharingMode
+from repro.sim.events import SimEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
@@ -33,9 +38,9 @@ class _KernelRun:
 
     __slots__ = ("kernel", "remaining", "rate", "last_update", "version")
 
-    def __init__(self, kernel: Kernel, now: float):
+    def __init__(self, kernel: Kernel, remaining: float, now: float):
         self.kernel = kernel
-        self.remaining = kernel.work_s
+        self.remaining = remaining
         self.rate = 1.0
         self.last_update = now
         self.version = 0
@@ -127,26 +132,41 @@ class SimGPU:
     # ------------------------------------------------------------------
     # kernel execution
     # ------------------------------------------------------------------
-    def launch(self, kernel: Kernel) -> "object":
+    def launch(self, kernel: Kernel) -> SimEvent:
         """Start executing ``kernel``; returns its completion event."""
         if kernel.done is not None:
             raise SimulationError(f"kernel {kernel.name} launched twice")
-        if self.sharing is SharingMode.EXCLUSIVE:
-            owners = {run.kernel.proc.pid for run in self._runs.values()}
-            if owners and owners != {kernel.proc.pid}:
+        runs = self._runs
+        if runs and self.sharing is SharingMode.EXCLUSIVE:
+            owners = {run.kernel.proc.pid for run in runs.values()}
+            if owners != {kernel.proc.pid}:
                 raise SimulationError(
                     f"{self.name} is in EXCLUSIVE mode; "
                     f"{kernel.proc.name} cannot co-run kernels"
                 )
-        kernel.done = self.engine.event()
-        run = _KernelRun(kernel, self.engine.now)
-        run.remaining = kernel.work_s / self.speed_factor
-        self._runs[kernel.kid] = run
+        engine = self.engine
+        done = kernel.done = SimEvent(engine)
+        now = engine.now
+        run = _KernelRun(kernel, kernel.work_s / self.speed_factor, now)
+        alone = not runs
+        runs[kernel.kid] = run
         if kernel.work_s == 0:
             self._complete(run)
-            return kernel.done
-        self._recompute()
-        return kernel.done
+        elif alone:
+            # _recompute with this one run: settling subtracts
+            # (now - now) * 1.0, the occupancy sums add to 0.0, and the
+            # slowdown is 1.0, so the completion lands remaining / 1.0
+            # from now under version 1.
+            if kernel.priority >= Priority.TRAINING:
+                self._record_point(now, kernel.sm_demand, 0.0)
+            else:
+                self._record_point(now, 0.0, kernel.sm_demand)
+            run.version = 1
+            engine.timeout(run.remaining).callbacks.append(
+                functools.partial(self._on_timer, run, 1))
+        else:
+            self._recompute()
+        return done
 
     def cancel_kernels_of(self, proc: "GPUProcess") -> int:
         """Drop all in-flight kernels of ``proc`` (CUDA context teardown).
@@ -211,14 +231,12 @@ class SimGPU:
             self._schedule_completion(run)
 
     def _schedule_completion(self, run: _KernelRun) -> None:
-        delay = run.remaining / run.rate
-        version = run.version
-        timeout = self.engine.timeout(delay)
+        timeout = self.engine.timeout(run.remaining / run.rate)
         timeout.callbacks.append(
-            lambda _ev, run=run, version=version: self._on_timer(run, version)
-        )
+            functools.partial(self._on_timer, run, run.version))
 
-    def _on_timer(self, run: _KernelRun, version: int) -> None:
+    def _on_timer(self, run: _KernelRun, version: int,
+                  _event: SimEvent) -> None:
         if run.version != version or run.kernel.kid not in self._runs:
             return  # stale timer from before a recompute
         self._complete(run)

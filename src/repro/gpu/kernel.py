@@ -17,6 +17,8 @@ import enum
 import itertools
 import typing
 
+from repro.gpu.sharing import SharingMode
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
     from repro.sim.events import SimEvent
@@ -52,9 +54,7 @@ class Interference:
     time_slice: float = 1.0
 
     def imposed_on(self, victim_priority: Priority, own_priority: Priority,
-                   mode: "object") -> float:
-        from repro.gpu.sharing import SharingMode
-
+                   mode: SharingMode) -> float:
         if mode is SharingMode.TIME_SLICE:
             return self.time_slice
         if mode is SharingMode.MPS:
@@ -85,7 +85,7 @@ class Kernel:
         interference: Interference,
         name: str = "",
     ):
-        if work_s < 0:
+        if not work_s >= 0:  # also rejects NaN, which compares false
             raise ValueError(f"kernel work must be >= 0, got {work_s}")
         if not 0.0 < sm_demand <= 1.0:
             raise ValueError(f"sm_demand must be in (0, 1], got {sm_demand}")

@@ -98,15 +98,10 @@ class GPUProcess:
         self, work_s: float, sm_demand: float = 0.5, name: str = ""
     ) -> "SimEvent":
         """Launch an asynchronous kernel; returns its completion event."""
-        self._check_alive()
-        kernel = Kernel(
-            proc=self,
-            work_s=work_s,
-            sm_demand=sm_demand,
-            priority=self.priority,
-            interference=self.interference,
-            name=name or f"{self.name}:k",
-        )
+        if not self.alive:
+            self._check_alive()
+        kernel = Kernel(self, work_s, sm_demand, self.priority,
+                        self.interference, name or f"{self.name}:k")
         return self.device.launch(kernel)
 
     # ------------------------------------------------------------------

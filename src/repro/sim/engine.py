@@ -6,13 +6,17 @@ in this library fully deterministic for a given seed.
 
 ``run`` localizes the heap and ``heappop`` instead of dispatching through
 ``step``/``peek`` per event: the drain loop executes once per event and
-its overhead used to dominate end-to-end experiment time. Two further
-drain-loop refinements feed the scale ladder (see PERFORMANCE.md):
-same-instant events are popped in an inner batch so the clock is written
-once per distinct instant, and the ``until``-horizon loop pops first and
-compares the popped time against the horizon (pushing the one
-overshooting event back) instead of peeking ``heap[0][0]`` twice per
-event.
+its overhead used to dominate end-to-end experiment time. The drain
+loops also open-code :meth:`SimEvent._process` (mark the event
+processed, swap its callback list out, call each callback), and the
+clock is a plain ``now`` attribute that only the engine writes. Two
+further drain-loop refinements feed the scale ladder (see
+PERFORMANCE.md): same-instant events are popped in an inner batch so
+the clock is written once per distinct instant, and the horizon loop
+pops first and compares the popped time against the horizon (pushing
+the one overshooting event back) instead of peeking ``heap[0][0]``
+twice per event. Running to exhaustion is the same loop with an
+infinite horizon.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ class Engine:
     """Drives a discrete-event simulation in virtual seconds."""
 
     def __init__(self):
-        self._now: float = 0.0
+        #: current virtual time in seconds; written only by the engine
+        self.now: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._sequence = 0
         self._processes_started = 0
@@ -66,12 +71,6 @@ class Engine:
         self.trace = NULL_TRACER
         #: this run's own metric registry (counters/gauges/timelines)
         self.telemetry = Telemetry()
-
-    # -- clock --------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     # -- event construction ---------------------------------------------------
     def event(self, name: str = "") -> SimEvent:
@@ -89,11 +88,11 @@ class Engine:
 
     # -- scheduling ------------------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        if not delay >= 0:  # also rejects NaN, which compares false
+            raise SimulationError(f"event delay must be >= 0, got {delay}")
         seq = self._sequence
         self._sequence = seq + 1
-        heappush(self._heap, (self._now + delay, seq, event))
+        heappush(self._heap, (self.now + delay, seq, event))
 
     # -- execution ---------------------------------------------------------------
     def peek(self) -> float:
@@ -105,9 +104,9 @@ class Engine:
         if not self._heap:
             raise SimulationError("step() on an empty event heap")
         when, _seq, event = heappop(self._heap)
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("event heap corrupted: time moved backwards")
-        self._now = when
+        self.now = when
         self._account(1)
         event._process()
 
@@ -120,29 +119,18 @@ class Engine:
         * a number — run until virtual time reaches that instant;
         * an event — run until that event is processed, returning its value.
 
-        Scheduling guarantees monotone event times (negative delays are
-        rejected at ``_schedule``), so unlike :meth:`step` the drain loops
-        skip the per-event clock check. Same-instant events are drained
-        in an inner batch (one clock write per distinct instant), and
-        the horizon loop pops first and pushes back the one event that
-        overshoots rather than peeking the front twice per event.
+        Scheduling guarantees monotone event times (negative and NaN
+        delays are rejected when an event is scheduled), so unlike
+        :meth:`step` the drain loops skip the per-event clock check.
+        Same-instant events are drained in an inner batch (one clock
+        write per distinct instant), and the horizon loop pops first and
+        pushes back the one event that overshoots rather than peeking
+        the front twice per event. Both loops open-code
+        :meth:`SimEvent._process`.
         """
         heap = self._heap
         processed = 0
         try:
-            if until is None:
-                while heap:
-                    item = heappop(heap)
-                    when = item[0]
-                    self._now = when
-                    processed += 1
-                    item[2]._process()
-                    while heap and heap[0][0] == when:
-                        item = heappop(heap)
-                        processed += 1
-                        item[2]._process()
-                return None
-
             if isinstance(until, SimEvent):
                 stop_event = until
                 while stop_event._state != PROCESSED:
@@ -152,32 +140,47 @@ class Engine:
                             f"{stop_event!r} was processed"
                         )
                     item = heappop(heap)
-                    self._now = item[0]
+                    self.now = item[0]
                     processed += 1
-                    item[2]._process()
+                    event = item[2]
+                    event._state = PROCESSED
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for callback in callbacks:
+                        callback(event)
                 return stop_event.value
 
-            horizon = float(until)
-            if math.isnan(horizon):
-                raise SimulationError("cannot run until NaN")
-            if horizon < self._now:
-                raise SimulationError(
-                    f"cannot run until {horizon}; clock is already at {self._now}"
-                )
+            if until is None:
+                horizon = math.inf
+            else:
+                horizon = float(until)
+                if math.isnan(horizon):
+                    raise SimulationError("cannot run until NaN")
+                if horizon < self.now:
+                    raise SimulationError(
+                        f"cannot run until {horizon}; clock is already at "
+                        f"{self.now}"
+                    )
             while heap:
                 item = heappop(heap)
                 when = item[0]
                 if when > horizon:
                     heappush(heap, item)
                     break
-                self._now = when
-                processed += 1
-                item[2]._process()
-                while heap and heap[0][0] == when:
-                    item = heappop(heap)
+                self.now = when
+                while True:
                     processed += 1
-                    item[2]._process()
-            self._now = horizon
+                    event = item[2]
+                    event._state = PROCESSED
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for callback in callbacks:
+                        callback(event)
+                    if not heap or heap[0][0] != when:
+                        break
+                    item = heappop(heap)
+            if until is not None:
+                self.now = horizon
             return None
         finally:
             self._account(processed)

@@ -91,12 +91,16 @@ class SimEvent:
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: object = None, delay: float = 0.0) -> "SimEvent":
-        """Trigger the event with ``value`` after ``delay`` virtual seconds."""
+        """Trigger the event with ``value`` after ``delay`` virtual seconds.
+
+        A rejected delay (negative or NaN) raises and leaves the event
+        pending.
+        """
         if self._state != PENDING:
             raise SimulationError(f"event {self!r} already triggered")
+        self.engine._schedule(self, delay)
         self._state = TRIGGERED
         self._value = value
-        self.engine._schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "SimEvent":
@@ -105,9 +109,9 @@ class SimEvent:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
+        self.engine._schedule(self, delay)
         self._state = TRIGGERED
         self._exception = exception
-        self.engine._schedule(self, delay)
         return self
 
     # -- engine hook ------------------------------------------------------
@@ -129,8 +133,8 @@ class Timeout(SimEvent):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: object = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which compares false
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         # Field assignments and scheduling are open-coded (no
         # super().__init__, no engine._schedule) and the display name is
         # computed on demand: this constructor runs a few hundred thousand
@@ -143,7 +147,7 @@ class Timeout(SimEvent):
         self.delay = delay
         seq = engine._sequence
         engine._sequence = seq + 1
-        heappush(engine._heap, (engine._now + delay, seq, self))
+        heappush(engine._heap, (engine.now + delay, seq, self))
 
     @property
     def name(self) -> str:  # shadows the SimEvent slot; computed lazily

@@ -24,7 +24,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Process(SimEvent):
     """A running simulation process (and the event of its termination)."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_resume_callback")
 
     def __init__(self, engine: "Engine", generator, name: str = "proc"):
         super().__init__(engine, name=name)
@@ -34,9 +34,12 @@ class Process(SimEvent):
             )
         self._generator = generator
         self._waiting_on: SimEvent | None = None
+        #: the bound ``_resume``, made once: it is registered on every
+        #: event the process waits for
+        self._resume_callback = self._resume
         # Kick the generator off at the current instant.
         bootstrap = SimEvent(engine, name=f"{name}:start")
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._resume_callback)
         bootstrap.succeed()
         self._waiting_on = bootstrap
 
@@ -59,8 +62,8 @@ class Process(SimEvent):
         if not self.alive:
             return
         target = self._waiting_on
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
+        if target is not None and self._resume_callback in target.callbacks:
+            target.callbacks.remove(self._resume_callback)
         self._waiting_on = None
         wakeup = SimEvent(self.engine, name=f"{self.name}:interrupt")
         wakeup.callbacks.append(lambda _ev: self._resume_with_throw(Interrupt(cause)))
@@ -82,7 +85,14 @@ class Process(SimEvent):
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self.fail(exc)
             return
-        self._wait_for(target)
+        # The common case of _wait_for, inline: a not-yet-processed event
+        # of this engine.
+        if (isinstance(target, SimEvent) and target.engine is self.engine
+                and target._state != PROCESSED):
+            target.callbacks.append(self._resume_callback)
+            self._waiting_on = target
+        else:
+            self._wait_for(target)
 
     def _resume_with_throw(self, exc: BaseException) -> None:
         if not self.alive:
@@ -112,12 +122,12 @@ class Process(SimEvent):
             # Already done: resume at the current instant via a fresh event so
             # ordering stays heap-driven.
             relay = SimEvent(self.engine, name=f"{self.name}:relay")
-            relay.callbacks.append(self._resume)
+            relay.callbacks.append(self._resume_callback)
             if target._exception is not None:
                 relay.fail(target._exception)
             else:
                 relay.succeed(target._value)
             self._waiting_on = relay
         else:
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._resume_callback)
             self._waiting_on = target

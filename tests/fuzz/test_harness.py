@@ -9,6 +9,7 @@ deeper all-frames campaign runs in the nightly workflow
 from __future__ import annotations
 
 import json
+import pathlib
 
 from repro.fuzz import (
     FUZZ_KINDS,
@@ -105,7 +106,7 @@ def test_planted_failure_is_shrunk_and_written_to_corpus(tmp_path):
 
     # corpus file: loadable, carries the minimized spec under "scenario"
     assert case.corpus_path is not None
-    payload = json.loads(open(case.corpus_path).read())
+    payload = json.loads(pathlib.Path(case.corpus_path).read_text())
     assert payload["scenario"] == case.shrunk.to_dict()
     assert payload["fuzz"]["failure"] == ["planted_bug"]
     assert payload["fuzz"]["case_seed"] == case.seed

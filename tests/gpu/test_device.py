@@ -179,3 +179,119 @@ def test_memory_trace_records_changes(engine: Engine, gpu: SimGPU):
     proc.free()
     values = [gb for _t, gb in gpu.memory_trace]
     assert values == [8.0, 0.0]
+
+
+# ----------------------------------------------------------------------
+# A kernel launched on an idle device takes a fast path past the rate
+# model's settle-and-reschedule pass. The literals below were captured
+# from the full recompute before that path existed: the completion
+# instants, busy time and occupancy trace must stay the same floats.
+# ----------------------------------------------------------------------
+def _timeline(plan, speed_factor=1.0, record=True):
+    """Run ``plan`` -- ``(at_s, proc, work_s, sm_demand)`` launches by a
+    ``side`` and a ``train`` process -- and return ``(completions,
+    busy_time, occupancy_trace)``; a completion is ``(proc, work_s,
+    finished_at)``."""
+    from repro.gpu.kernel import TRAINING_INTERFERENCE
+
+    engine = Engine()
+    gpu = SimGPU(engine, "g", memory_gb=48.0, speed_factor=speed_factor,
+                 record_occupancy=record)
+    procs = {
+        "side": _proc(engine, gpu, "side",
+                      interference=Interference(mps_on_higher=0.2)),
+        "train": _proc(engine, gpu, "train", Priority.TRAINING,
+                       interference=TRAINING_INTERFERENCE),
+    }
+    completions = []
+
+    def launch_at(at_s, name, work_s, sm_demand):
+        yield engine.timeout(at_s)
+        yield procs[name].launch_kernel(work_s=work_s, sm_demand=sm_demand)
+        completions.append((name, work_s, engine.now))
+
+    for launch in plan:
+        engine.process(launch_at(*launch))
+    engine.run()
+    return completions, gpu.busy_time, gpu.occupancy_trace
+
+
+def test_kernels_alone_match_the_recompute_literals():
+    assert _timeline([(0.1, "side", 0.3, 0.4), (0.9, "side", 0.7, 0.4)]) == (
+        [("side", 0.3, 0.4), ("side", 0.7, 1.6)],
+        1.0,
+        [(0.1, 0.4, 0.0, 0.4), (0.4, 0.0, 0.0, 0.0),
+         (0.9, 0.4, 0.0, 0.4), (1.6, 0.0, 0.0, 0.0)],
+    )
+
+
+def test_side_kernel_overlapped_by_training_matches_the_recompute_literals():
+    # The side kernel starts alone (fast path); the training kernel
+    # lands on a busy device and the recompute slows both.
+    assert _timeline([(0.0, "side", 1.0, 0.4), (0.25, "train", 0.5, 0.9),
+                      (2.0, "train", 0.3, 0.9)]) == (
+        [("train", 0.5, 0.85), ("side", 1.0, 1.3), ("train", 0.3, 2.3)],
+        1.5999999999999999,
+        [(0.0, 0.4, 0.0, 0.4), (0.25, 1.0, 0.9, 0.4), (0.85, 0.4, 0.0, 0.4),
+         (1.3, 0.0, 0.0, 0.0), (2.0, 0.9, 0.9, 0.0), (2.3, 0.0, 0.0, 0.0)],
+    )
+
+
+def test_zero_work_kernels_match_the_recompute_literals():
+    # One zero-work kernel on an idle device, one beside a training op.
+    assert _timeline([(0.1, "side", 0.0, 0.4), (0.2, "train", 0.5, 0.9),
+                      (0.3, "side", 0.0, 0.4)]) == (
+        [("side", 0.0, 0.1), ("side", 0.0, 0.3), ("train", 0.5, 0.7)],
+        0.49999999999999994,
+        [(0.1, 0.0, 0.0, 0.0), (0.2, 0.9, 0.9, 0.0), (0.3, 0.9, 0.9, 0.0),
+         (0.7, 0.0, 0.0, 0.0)],
+    )
+
+
+def test_speed_factor_matches_the_recompute_literals():
+    assert _timeline([(0.1, "side", 0.3, 0.4), (0.2, "train", 0.5, 0.9)],
+                     speed_factor=1.3) == (
+        [("side", 0.3, 0.4615384615384615),
+         ("train", 0.5, 0.6282051282051282)],
+        0.5282051282051282,
+        [(0.1, 0.4, 0.0, 0.4), (0.2, 1.0, 0.9, 0.4),
+         (0.4615384615384615, 0.9, 0.9, 0.0),
+         (0.6282051282051282, 0.0, 0.0, 0.0)],
+    )
+
+
+def test_busy_time_without_occupancy_recording_matches_the_literals():
+    assert _timeline([(0.1, "side", 0.3, 0.4), (0.2, "train", 0.5, 0.9),
+                      (1.5, "side", 0.7, 0.4)], record=False) == (
+        [("side", 0.3, 0.6), ("train", 0.5, 0.7666666666666666),
+         ("side", 0.7, 2.2)],
+        1.3666666666666667,
+        [],
+    )
+
+
+def test_exclusive_mode_rejects_corunning_but_not_an_idle_launch(
+        engine: Engine):
+    gpu = SimGPU(engine, "g", memory_gb=10.0, sharing=SharingMode.EXCLUSIVE)
+    a = _proc(engine, gpu, "a")
+    b = _proc(engine, gpu, "b")
+    first = a.launch_kernel(work_s=0.5)
+    second = a.launch_kernel(work_s=0.25)  # same process: allowed
+    with pytest.raises(SimulationError, match="EXCLUSIVE"):
+        b.launch_kernel(work_s=1.0)
+    engine.run(until=first)
+    assert engine.now == 0.5 and second.processed
+    done = b.launch_kernel(work_s=1.0)  # the device is idle again
+    engine.run(until=done)
+    assert engine.now == 1.5
+    assert gpu.busy_time == 1.5
+
+
+@pytest.mark.parametrize("work_s", [-1.0, float("nan")],
+                         ids=["negative", "nan"])
+def test_kernel_work_must_be_a_non_negative_number(engine: Engine,
+                                                   gpu: SimGPU, work_s):
+    proc = _proc(engine, gpu)
+    with pytest.raises(ValueError, match="kernel work must be >= 0"):
+        proc.launch_kernel(work_s=work_s)
+    assert gpu.active_kernels() == []

@@ -216,6 +216,42 @@ def test_scheduling_while_running_matches_a_reference_heap(
     assert log == reference
 
 
+@pytest.mark.parametrize("delay", [-1.0, float("nan")],
+                         ids=["negative", "nan"])
+@pytest.mark.parametrize("trigger", ["timeout", "succeed", "fail"])
+def test_bad_delays_are_rejected_on_every_entry_point(engine: Engine,
+                                                      trigger, delay):
+    engine.timeout(1.0)
+    event = engine.event()
+    with pytest.raises(SimulationError, match="delay must be >= 0"):
+        if trigger == "timeout":
+            engine.timeout(delay)
+        elif trigger == "succeed":
+            event.succeed("value", delay=delay)
+        else:
+            event.fail(RuntimeError("boom"), delay=delay)
+    # Nothing was scheduled, and a rejected trigger leaves the event
+    # pending, so it can still be triggered.
+    assert event.pending
+    event.succeed("value", delay=2.0)
+    engine.run()
+    assert engine.now == 2.0 and event.value == "value"
+
+
+def test_nan_delays_cannot_move_the_clock_backwards(engine: Engine):
+    # A NaN delay used to be scheduled, and its key broke the heap's
+    # order: timeouts of 3, nan, 1 and 2 fired at 1, 2, nan and then 3.
+    fired = []
+    for delay in (3.0, float("nan"), 1.0, 2.0):
+        try:
+            timeout = engine.timeout(delay)
+        except SimulationError:
+            continue
+        timeout.callbacks.append(lambda _ev: fired.append(engine.now))
+    engine.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
 def test_run_until_nan_is_rejected(engine: Engine):
     engine.timeout(1.0)
     with pytest.raises(SimulationError, match="NaN"):
