@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import random
 import typing
+from math import exp, log
 
 from repro.calibration import SideTaskProfile
 from repro.sim.rng import RandomStreams
@@ -31,6 +33,9 @@ from repro.sim.rng import RandomStreams
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
     from repro.sim.engine import Engine
+
+#: ``random.normalvariate``'s constant, for :meth:`SideTaskContext.jitter`
+_NV_MAGICCONST = random.NV_MAGICCONST
 
 
 @dataclasses.dataclass
@@ -51,6 +56,13 @@ class SideTaskContext:
         return self.engine.now
 
     def jitter(self, mean: float, rel_sigma: float = 0.02) -> float:
+        """``mean`` times a lognormal draw from the task's stream.
+
+        ``stream.lognormvariate(0.0, rel_sigma) * mean``, open-coded: the
+        stdlib's Kinderman-Monahan loop with the same ``random()`` calls
+        and float operations, so the value and the stream's state match
+        bit for bit (``tests/core/test_interfaces.py`` pins both).
+        """
         if mean <= 0:
             return 0.0
         if rel_sigma <= 0:
@@ -58,7 +70,15 @@ class SideTaskContext:
         stream = self._stream
         if stream is None:
             stream = self._stream = self.rng.stream(f"task:{self.task_name}")
-        return stream.lognormvariate(0.0, rel_sigma) * mean
+        draw = stream.random
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            zz = z * z / 4.0
+            if zz <= -log(u2):
+                break
+        return exp(0.0 + z * rel_sigma) * mean
 
 
 class SideTaskBase(abc.ABC):
@@ -122,7 +142,11 @@ class IterativeSideTask(SideTaskBase):
 
         A generator so the middleware can interleave it with virtual time;
         the default body realizes the profiled step duration with the
-        profiled host/GPU split. Override for custom step structure.
+        profiled host/GPU split. Override for custom step structure: the
+        runtime then drives the override as a generator. A task that
+        keeps this body has its steps run as callbacks on the same
+        events instead (``repro.core.runtime._StepDriver``, which must
+        stay in step with it), with identical results.
         """
         perf = self.perf
         step_time_s = perf.step_time_s

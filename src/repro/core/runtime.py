@@ -7,7 +7,10 @@ RPCs; the runtime applies them at the granularity its interface allows:
 * :class:`IterativeRuntime` checks for pending transition RPCs between
   steps and enforces the **program-directed** time limit — a step only
   runs when the bubble's remaining time covers the profiled step duration
-  plus a safety margin (section 4.5);
+  plus a safety margin (section 4.5). Steps of a task that keeps the
+  stock ``run_next_step`` run as callbacks on the step's own events
+  (:class:`_StepDriver`); an overridden hook, or a fault-injected run,
+  takes the generator step loop, with identical results;
 * :class:`ImperativeRuntime` maps pause/resume onto SIGTSTP/SIGCONT; the
   stop signal cannot recall kernels already on the device, so those
   overlap with training (section 5).
@@ -29,7 +32,7 @@ from repro.core.rpc import RpcChannel
 from repro.core.states import SideTaskState, StateMachine, Transition
 from repro.core.task_spec import TaskSpec
 from repro.errors import GpuOutOfMemoryError, ProcessKilledError
-from repro.sim.events import Interrupt
+from repro.sim.events import Interrupt, SimEvent, Timeout
 from repro.sim.rng import RandomStreams
 from repro.sim.signals import Signal
 
@@ -375,6 +378,9 @@ class IterativeRuntime(SideTaskRuntime):
         reach = (None if step_time is None else
                  step_time * (1.0 + calibration.STEP_FIT_SAFETY_MARGIN))
         overhead = calibration.ITERATIVE_STEP_OVERHEAD_S
+        driver = None
+        if injector is None and _stock_steps(workload):
+            driver = _StepDriver(self, reach, overhead)
         while machine.state is running:
             if commands:
                 command = commands.popleft()
@@ -397,29 +403,37 @@ class IterativeRuntime(SideTaskRuntime):
                 idle_end = min(sim.now, max(bubble_end, wait_start))
                 self.insufficient_s += max(0.0, idle_end - wait_start)
                 continue
-            if overhead > 0:
-                yield sim.timeout(overhead)
-                self.overhead_s += overhead
-            if injector is not None and injector.step_fails(name):
-                # The step ran but its result is lost; the loop re-runs it.
-                fail_start = sim.now
-                if step_time is not None and step_time > 0:
-                    yield sim.timeout(step_time)
-                self.step_failures += 1
-                self.wasted_s += sim.now - fail_start
-                continue
-            machine.apply(Transition.RUN_NEXT_STEP, sim.now)
-            step_start = sim.now
-            yield from workload.run_next_step(ctx)
-            if injector is not None:
-                # Straggler window: the step takes factor× its normal time.
-                factor = injector.slowdown_factor(self.stage, step_start)
-                if factor > 1.0:
-                    extra = (sim.now - step_start) * (factor - 1.0)
-                    if extra > 0:
-                        yield sim.timeout(extra)
-                        self.slowdown_s += extra
-            self.running_s += sim.now - step_start
+            if driver is not None:
+                # Steps run as callbacks until one of this loop's checks
+                # fails; the driver then resumes this generator in place,
+                # right after a step's accounting.
+                yield driver.start(bubble_end)
+            else:
+                if overhead > 0:
+                    yield sim.timeout(overhead)
+                    self.overhead_s += overhead
+                if injector is not None and injector.step_fails(name):
+                    # The step ran but its result is lost; the loop
+                    # re-runs it.
+                    fail_start = sim.now
+                    if step_time is not None and step_time > 0:
+                        yield sim.timeout(step_time)
+                    self.step_failures += 1
+                    self.wasted_s += sim.now - fail_start
+                    continue
+                machine.apply(Transition.RUN_NEXT_STEP, sim.now)
+                step_start = sim.now
+                yield from workload.run_next_step(ctx)
+                if injector is not None:
+                    # Straggler window: the step takes factor× its
+                    # normal time.
+                    factor = injector.slowdown_factor(self.stage, step_start)
+                    if factor > 1.0:
+                        extra = (sim.now - step_start) * (factor - 1.0)
+                        if extra > 0:
+                            yield sim.timeout(extra)
+                            self.slowdown_s += extra
+                self.running_s += sim.now - step_start
             if workload.is_finished:
                 return True
             if checkpoint is not None and self._should_checkpoint():
@@ -450,6 +464,156 @@ class IterativeRuntime(SideTaskRuntime):
         # generator resumes; only a still-checkpointing task resumes.
         if self.machine.state is SideTaskState.CHECKPOINTED:
             self.machine.apply(Transition.RESUME, self.sim.now)
+
+
+def _stock_steps(workload: IterativeSideTask) -> bool:
+    """True when ``workload`` runs ``IterativeSideTask.run_next_step``."""
+    hook = getattr(workload.run_next_step, "__func__", None)
+    return hook is IterativeSideTask.run_next_step
+
+
+class _StepDriver:
+    """Runs stock iterative steps as callbacks on the step's own events.
+
+    The generator step loop pays three process resumes per step, each
+    through ``_guarded`` → ``_main_loop`` → ``_running_loop`` →
+    ``run_next_step``. The driver does the same work from the callbacks
+    of the same events, with every RNG draw and state change inside the
+    same event as the generator's:
+
+    * the overhead timeout: ``overhead_s``, ``RunNextStep``, the step's
+      start, the host jitter and the host timeout;
+    * the host timeout: ``compute_step``, the kernel jitter and the
+      launch;
+    * the kernel's done event: the step's accounting and ``running_s``,
+      then the loop's checks in the generator's order (finished,
+      checkpoint due, state, commands, fit) and the next overhead
+      timeout.
+
+    A zero overhead or host time skips that timeout, as the generator
+    does. Meanwhile the process waits on ``wait``, an event that is
+    never scheduled. When a check fails, or a phase raises, the driver
+    resumes it in place (no event, no seq, no count), so the generator
+    takes over at the same instant. A kill takes the process's callback
+    off ``wait``; every later callback of the driver then does nothing,
+    as the generator's removed resume callbacks do. The phases
+    :meth:`start` runs before the process waits raise directly.
+    """
+
+    __slots__ = ("runtime", "engine", "machine", "commands", "workload",
+                 "ctx", "checkpoint", "reach", "overhead", "bubble_end",
+                 "wait", "step_start", "perf", "on_overhead", "on_host",
+                 "on_done")
+
+    def __init__(self, runtime: IterativeRuntime, reach: float | None,
+                 overhead: float):
+        self.runtime = runtime
+        self.engine = runtime.sim
+        self.machine = runtime.machine
+        self.commands = runtime._commands
+        self.workload = runtime.workload
+        self.ctx = runtime.ctx
+        self.checkpoint = runtime.spec.checkpoint
+        self.reach = reach
+        self.overhead = overhead
+        self.bubble_end: float | None = None
+        self.wait: SimEvent | None = None
+        self.step_start = 0.0
+        self.perf = None
+        # bound once: one of them is registered on every step's events
+        self.on_overhead = self._on_overhead
+        self.on_host = self._on_host
+        self.on_done = self._on_done
+
+    def start(self, bubble_end: float | None) -> SimEvent:
+        """Start a step; returns the event the process waits on."""
+        self.bubble_end = bubble_end
+        self.wait = wait = SimEvent(self.engine)
+        self._start_overhead()
+        return wait
+
+    def _resume(self, exception: BaseException | None = None) -> None:
+        """Resume the waiting process in place, with ``exception`` thrown
+        into it when given."""
+        wait = self.wait
+        resume = wait.callbacks.pop()
+        wait._exception = exception
+        resume(wait)
+
+    def _start_overhead(self) -> None:
+        if self.overhead > 0:
+            Timeout(self.engine, self.overhead).callbacks.append(
+                self.on_overhead)
+        else:
+            self._start_host()
+
+    def _start_host(self) -> None:
+        now = self.engine.now
+        self.machine.apply(Transition.RUN_NEXT_STEP, now)
+        self.step_start = now
+        # IterativeSideTask.run_next_step up to its first yield
+        self.perf = perf = self.workload.perf
+        host_s = perf.step_time_s * (1.0 - perf.gpu_duty)
+        if host_s > 0:
+            Timeout(self.engine, self.ctx.jitter(host_s)).callbacks.append(
+                self.on_host)
+        else:
+            self._launch()
+
+    def _launch(self) -> None:
+        workload = self.workload
+        perf = self.perf
+        workload.compute_step()
+        ctx = self.ctx
+        done = ctx.proc.launch_kernel(
+            ctx.jitter(perf.step_time_s * perf.gpu_duty), perf.sm_demand,
+            workload.name)
+        done.callbacks.append(self.on_done)
+
+    def _on_overhead(self, _event: SimEvent) -> None:
+        if not self.wait.callbacks:
+            return  # killed
+        try:
+            self.runtime.overhead_s += self.overhead
+            self._start_host()
+        except Exception as exc:  # noqa: BLE001 - the generator raises it
+            self._resume(exc)
+
+    def _on_host(self, _event: SimEvent) -> None:
+        if not self.wait.callbacks:
+            return  # killed
+        try:
+            self._launch()
+        except Exception as exc:  # noqa: BLE001 - the generator raises it
+            self._resume(exc)
+
+    def _on_done(self, done: SimEvent) -> None:
+        if not self.wait.callbacks:
+            return  # killed
+        if done._exception is not None:
+            self._resume(done._exception)
+            return
+        try:
+            workload = self.workload
+            workload._account_step()
+            now = self.engine.now
+            runtime = self.runtime
+            runtime.running_s += now - self.step_start
+            bubble_end = self.bubble_end
+            reach = self.reach
+            if not (workload.is_finished
+                    or (self.checkpoint is not None
+                        and runtime._should_checkpoint())
+                    or self.machine.state is not SideTaskState.RUNNING
+                    or self.commands
+                    or (bubble_end is not None and reach is not None
+                        and not (now + reach <= bubble_end))):
+                self._start_overhead()
+                return
+        except Exception as exc:  # noqa: BLE001 - the generator raises it
+            self._resume(exc)
+            return
+        self._resume()
 
 
 class ImperativeRuntime(SideTaskRuntime):

@@ -9,7 +9,10 @@ rescheduled at the new rates — the standard processor-sharing construction
 for discrete-event simulators. A kernel that lands on an idle device
 skips that pass: alone, it has nothing to settle and a slowdown of
 exactly 1, so :meth:`SimGPU.launch` schedules its completion directly
-with the same arithmetic on the same values.
+with the same arithmetic on the same values. When that completion
+leaves the device idle, the kernel's done event is fired in place
+(:meth:`~repro.sim.engine.Engine.fire`): its waiter runs inside the
+timer's event, exactly where the heap would have run it next.
 
 The device also keeps:
 
@@ -26,7 +29,7 @@ import typing
 from repro.errors import GpuOutOfMemoryError, SimulationError
 from repro.gpu.kernel import Kernel, Priority
 from repro.gpu.sharing import SharingMode
-from repro.sim.events import SimEvent
+from repro.sim.events import SimEvent, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
@@ -36,14 +39,36 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class _KernelRun:
     """Book-keeping for one in-flight kernel."""
 
-    __slots__ = ("kernel", "remaining", "rate", "last_update", "version")
+    __slots__ = ("device", "kernel", "remaining", "rate", "last_update",
+                 "version")
 
-    def __init__(self, kernel: Kernel, remaining: float, now: float):
+    def __init__(self, device: "SimGPU", kernel: Kernel, remaining: float,
+                 now: float):
+        self.device = device
         self.kernel = kernel
         self.remaining = remaining
         self.rate = 1.0
         self.last_update = now
         self.version = 0
+
+    def on_idle_timer(self, _event: SimEvent) -> None:
+        """Completion timer of a run launched on an idle device.
+
+        ``SimGPU._on_timer`` and ``_complete`` for version 1, except
+        that a device left idle fires the done event in place.
+        """
+        device = self.device
+        runs = device._runs
+        kernel = self.kernel
+        if self.version != 1 or kernel.kid not in runs:
+            return  # stale timer from before a recompute
+        del runs[kernel.kid]
+        device._record_occupancy(device.engine.now)
+        if runs:
+            kernel.done.succeed(kernel)
+            device._recompute()
+        else:
+            device.engine.fire(kernel.done, kernel)
 
 
 class SimGPU:
@@ -147,7 +172,7 @@ class SimGPU:
         engine = self.engine
         done = kernel.done = SimEvent(engine)
         now = engine.now
-        run = _KernelRun(kernel, kernel.work_s / self.speed_factor, now)
+        run = _KernelRun(self, kernel, kernel.work_s / self.speed_factor, now)
         alone = not runs
         runs[kernel.kid] = run
         if kernel.work_s == 0:
@@ -162,8 +187,7 @@ class SimGPU:
             else:
                 self._record_point(now, 0.0, kernel.sm_demand)
             run.version = 1
-            engine.timeout(run.remaining).callbacks.append(
-                functools.partial(self._on_timer, run, 1))
+            Timeout(engine, run.remaining).callbacks.append(run.on_idle_timer)
         else:
             self._recompute()
         return done

@@ -17,6 +17,11 @@ pops first and compares the popped time against the horizon (pushing
 the one overshooting event back) instead of peeking ``heap[0][0]``
 twice per event. Running to exhaustion is the same loop with an
 infinite horizon.
+
+:meth:`Engine.fire` lets a callback hand the loop the event it would
+pop next anyway: triggered at the current instant with nothing else due
+then, the event is processed right there instead of taking a round trip
+through the heap (see PERFORMANCE.md, "Step callbacks").
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from heapq import heappop, heappush
 from repro.errors import SimulationError
 from repro.obs.telemetry import PROCESS, Telemetry
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.events import PROCESSED, SimEvent, Timeout
+from repro.sim.events import PENDING, PROCESSED, TRIGGERED, SimEvent, Timeout
 from repro.sim.process import Process
 
 ProcessGenerator = typing.Generator[SimEvent, object, object]
@@ -66,6 +71,13 @@ class Engine:
         self._processes_started = 0
         #: events this engine has popped and processed
         self.events_processed = 0
+        #: inside a run() drain loop (fire may process in place)
+        self._draining = False
+        #: the event run(until=event) stops at; fire never processes an
+        #: event past it
+        self._stop_event: SimEvent | None = None
+        #: events fire processed in place, not yet added to the counters
+        self._fired = 0
         #: span tracer; the shared no-op singleton until a runner
         #: attaches a live one (see :func:`repro.obs.attach_tracer`)
         self.trace = NULL_TRACER
@@ -94,6 +106,40 @@ class Engine:
         self._sequence = seq + 1
         heappush(self._heap, (self.now + delay, seq, event))
 
+    def fire(self, event: SimEvent, value: object = None) -> None:
+        """Trigger ``event`` with ``value`` at the current instant.
+
+        For the tail of an event callback: nothing may run after it in
+        the callback, nor any other callback after it on the event being
+        processed. ``event`` takes the sequence number ``succeed()``
+        would, so later keys (and an :class:`~repro.core.rpc.RpcChannel`
+        cast batch's ``seq_guard``) do not move. Inside a :meth:`run`
+        drain loop, when no other event is due at this instant, the
+        event is the next one the loop would pop: it is processed here
+        and counted like a popped one. Otherwise, and always under
+        :meth:`step` or once ``run(until=event)``'s event is processed,
+        it is pushed like ``succeed()``.
+        """
+        if event._state != PENDING:
+            raise SimulationError(f"event {event!r} already triggered")
+        seq = self._sequence
+        self._sequence = seq + 1
+        event._value = value
+        heap = self._heap
+        now = self.now
+        stop = self._stop_event
+        if (self._draining and (not heap or heap[0][0] != now)
+                and (stop is None or stop._state != PROCESSED)):
+            self._fired += 1
+            event._state = PROCESSED
+            callbacks = event.callbacks
+            event.callbacks = []
+            for callback in callbacks:
+                callback(event)
+        else:
+            event._state = TRIGGERED
+            heappush(heap, (now, seq, event))
+
     # -- execution ---------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next event, or ``inf`` when the queue is empty."""
@@ -108,7 +154,12 @@ class Engine:
             raise SimulationError("event heap corrupted: time moved backwards")
         self.now = when
         self._account(1)
-        event._process()
+        draining = self._draining
+        self._draining = False  # step() never fires in place
+        try:
+            event._process()
+        finally:
+            self._draining = draining
 
     def run(self, until: float | SimEvent | None = None) -> object:
         """Run the simulation.
@@ -126,13 +177,16 @@ class Engine:
         write per distinct instant), and the horizon loop pops first and
         pushes back the one event that overshoots rather than peeking
         the front twice per event. Both loops open-code
-        :meth:`SimEvent._process`.
+        :meth:`SimEvent._process`. An infinite horizon leaves the clock
+        at the last processed event, as running to exhaustion does.
         """
         heap = self._heap
         processed = 0
+        outer = self._draining, self._stop_event
+        self._draining = True
         try:
             if isinstance(until, SimEvent):
-                stop_event = until
+                stop_event = self._stop_event = until
                 while stop_event._state != PROCESSED:
                     if not heap:
                         raise SimulationError(
@@ -150,6 +204,7 @@ class Engine:
                         callback(event)
                 return stop_event.value
 
+            self._stop_event = None
             if until is None:
                 horizon = math.inf
             else:
@@ -179,15 +234,18 @@ class Engine:
                     if not heap or heap[0][0] != when:
                         break
                     item = heappop(heap)
-            if until is not None:
+            if horizon != math.inf:
                 self.now = horizon
             return None
         finally:
+            self._draining, self._stop_event = outer
             self._account(processed)
 
     def _account(self, processed: int) -> None:
         # Called once per run()/step(), not per event, so the registry
         # lookups stay off the drain loop's hot path.
+        processed += self._fired
+        self._fired = 0
         self.events_processed += processed
         self.telemetry.counter("sim.events_processed").add(processed)
         _PROCESS_EVENTS.add(processed)

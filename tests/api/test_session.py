@@ -70,6 +70,16 @@ class TestLifecycle:
         with pytest.raises(SimulationError, match="NaN"):
             Session(spec).run()
 
+    def test_infinite_settle_time_leaves_the_clock_at_the_last_event(self):
+        data = batch_spec().to_dict()
+        data["params"] = {"settle_s": float("inf")}  # dumps as Infinity
+        spec = ScenarioSpec.from_json(json.dumps(data))
+        with Session(spec) as session:
+            sim = session.run().runner.freeride.sim
+            # drained, with the clock where the last event left it
+            assert sim.peek() == float("inf")
+            assert 0.0 < sim.now < float("inf")
+
     def test_submit_after_run_raises(self):
         session = Session(batch_spec())
         session.run()

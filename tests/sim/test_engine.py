@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 
 import pytest
 
+from repro.core.rpc import RpcChannel
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, total_events_processed
 
 
 def test_clock_starts_at_zero(engine: Engine):
@@ -161,38 +163,52 @@ def test_random_timeouts_fire_in_time_then_schedule_order(
     assert engine.events_processed == len(delays)
 
 
-def _spawning_log(schedule, now, budget: int = 3000) -> list:
+def _spawning_log(schedule, now, budget: int = 3000,
+                  fire_now=None) -> list:
     """Each firing logs ``(id, time)`` and schedules one or two more
     events (until ``budget`` exist), drawing delays from one seeded
     stream. ``schedule(delay, fire)`` and ``now()`` bind it to a queue;
-    the returned log fills as that queue is drained."""
+    the returned log fills as that queue is drained. Given
+    ``fire_now(fire)``, a firing's last spawn with a zero delay goes
+    through it instead (delays then have one decimal, so zero delays
+    and same-instant ties are common)."""
     rng = random.Random(3)
+    digits = 2 if fire_now is None else 1
     log: list = []
     made = 0
 
-    def spawn() -> None:
+    def spawn(tail: bool = False) -> None:
         nonlocal made
         if made < budget:
             ident = made
             made += 1
-            schedule(round(rng.uniform(0.0, 2.0), 2), lambda: fire(ident))
+            delay = round(rng.uniform(0.0, 2.0), digits)
+            if tail and fire_now is not None and delay == 0.0:
+                fire_now(lambda: fire(ident))
+            else:
+                schedule(delay, lambda: fire(ident))
 
     def fire(ident: int) -> None:
         log.append((ident, now()))
-        for _ in range(rng.choice((1, 2))):
-            spawn()
+        count = rng.choice((1, 2))
+        for index in range(count):
+            spawn(tail=index == count - 1)
 
     for _ in range(10):
         spawn()
     return log
 
 
-@pytest.mark.parametrize("drive", DRIVES)
+@pytest.mark.parametrize(
+    "drive, firing",
+    [(drive, False) for drive in DRIVES] + [(drive, True) for drive in DRIVES],
+    ids=list(DRIVES) + [f"{drive}-fire" for drive in DRIVES])
 def test_scheduling_while_running_matches_a_reference_heap(
-    engine: Engine, drive: str
+    engine: Engine, drive: str, firing: bool
 ):
     """Events scheduled from callbacks (zero delays included) interleave
-    with pending ones exactly as one ``heapq`` of ``(time, seq)`` pops."""
+    with pending ones exactly as one ``heapq`` of ``(time, seq)`` pops.
+    ``Engine.fire`` from a callback's tail is a zero-delay push there."""
     heap: list = []
     seq = itertools.count()
     clock = 0.0
@@ -200,20 +216,38 @@ def test_scheduling_while_running_matches_a_reference_heap(
     def push(delay, fire):
         heapq.heappush(heap, (clock + delay, next(seq), fire))
 
-    reference = _spawning_log(push, lambda: clock)
+    reference = _spawning_log(
+        push, lambda: clock,
+        fire_now=(lambda fire: push(0.0, fire)) if firing else None)
     while heap:
         clock, _seq, fire = heapq.heappop(heap)
         fire()
+
+    #: per fire() call, whether it processed the event in place
+    in_place: list[bool] = []
+
+    def fire_now(fire) -> None:
+        event = engine.event()
+        event.callbacks.append(lambda _ev: fire())
+        engine.fire(event)
+        in_place.append(event.processed)
 
     log = _spawning_log(
         lambda delay, fire: engine.timeout(delay).callbacks.append(
             lambda _ev: fire()
         ),
         lambda: engine.now,
+        fire_now=fire_now if firing else None,
     )
     _drive(engine, drive)
     assert len(log) == 3000
     assert log == reference
+    assert engine.events_processed == 3000
+    if firing:
+        # Both outcomes occur, except that step() never processes in
+        # place.
+        assert in_place.count(False) > 10
+        assert any(in_place) is (drive != "step")
 
 
 @pytest.mark.parametrize("delay", [-1.0, float("nan")],
@@ -311,3 +345,153 @@ def test_three_ticker_event_order_golden(engine: Engine):
     engine.run(until=5.0)
     engine.run()
     assert log == TICKER_GOLDEN
+
+
+def _on(event, callback):
+    event.callbacks.append(callback)
+    return event
+
+
+def test_fire_processes_in_place_inside_run_when_nothing_else_is_due(
+        engine: Engine):
+    order: list[str] = []
+    fired = _on(engine.event(), lambda ev: order.append(f"fired:{ev.value}"))
+
+    def tail(_ev):
+        order.append("timer")
+        engine.fire(fired, "v")
+        # processed before the callback returns, at the same instant
+        assert fired.processed and engine.now == 1.0
+        order.append("after fire")
+
+    _on(engine.timeout(1.0), tail)
+    _on(engine.timeout(2.0), lambda _ev: order.append("later"))
+    engine.run()
+    assert order == ["timer", "fired:v", "after fire", "later"]
+    assert engine.events_processed == 3
+
+
+def test_fire_outside_run_pushes_like_succeed(engine: Engine):
+    fired = _on(engine.event(), lambda _ev: None)
+    engine.fire(fired, 7)
+    assert fired.triggered and not fired.processed
+    assert engine.peek() == 0.0
+    engine.run()
+    assert fired.processed and fired.value == 7
+    with pytest.raises(SimulationError, match="already triggered"):
+        engine.fire(fired)
+
+
+def test_fired_event_runs_after_an_earlier_same_instant_event(
+        engine: Engine):
+    """Another event due now runs first; the fired event keeps the key
+    it reserved, ahead of events scheduled after the fire."""
+    order: list[str] = []
+    fired = _on(engine.event(), lambda _ev: order.append("fired"))
+    late = _on(engine.event(), lambda _ev: order.append("late"))
+
+    def first(_ev):
+        order.append("first")
+        engine.fire(fired)
+        assert not fired.processed
+
+    def second(_ev):
+        order.append("second")
+        late.succeed()
+
+    _on(engine.timeout(1.0), first)
+    _on(engine.timeout(1.0), second)
+    engine.run()
+    assert order == ["first", "second", "fired", "late"]
+
+
+def test_step_processes_exactly_one_event_and_never_fires_in_place(
+        engine: Engine):
+    fired = _on(engine.event(), lambda _ev: None)
+    _on(engine.timeout(1.0), lambda _ev: engine.fire(fired))
+    engine.step()
+    assert engine.events_processed == 1 and not fired.processed
+    engine.step()
+    assert engine.events_processed == 2 and fired.processed
+    assert engine.now == 1.0
+
+
+def test_fire_does_not_process_past_the_run_until_event(engine: Engine):
+    fired = _on(engine.event(), lambda _ev: None)
+    stop = _on(engine.timeout(1.0), lambda _ev: engine.fire(fired))
+    engine.run(until=stop)
+    assert not fired.processed and engine.peek() == 1.0
+    # ...but the fired event may itself be the one run() waits for
+    target = _on(engine.event(), lambda _ev: None)
+    _on(engine.timeout(1.0), lambda _ev: engine.fire(target))
+    engine.run(until=target)
+    assert target.processed and fired.processed
+
+
+def test_fired_events_are_counted(engine: Engine):
+    start = total_events_processed()
+    for delay in (1.0, 2.0, 3.0):
+        fired = _on(engine.event(), lambda _ev: None)
+        _on(engine.timeout(delay),
+            lambda _ev, fired=fired: engine.fire(fired))
+    engine.run()
+    assert engine.events_processed == 6
+    assert engine.telemetry.counter("sim.events_processed").value == 6
+    assert total_events_processed() - start == 6
+
+
+@pytest.mark.parametrize("trigger", ("succeed", "fire"))
+def test_fire_consumes_a_seq_so_a_cast_batch_is_not_joined(
+        engine: Engine, trigger: str):
+    """A cast after the trigger starts a new batch, as after succeed():
+    the trigger's event sits between the two casts in (time, seq)."""
+    channel = RpcChannel(engine, "rpc")
+    order: list[str] = []
+    relay = _on(engine.event(),
+                lambda _ev: channel.cast(order.append, "second"))
+
+    def tail(_ev):
+        channel.cast(order.append, "first")
+        if trigger == "fire":
+            engine.fire(relay)
+        else:
+            relay.succeed()
+
+    _on(engine.timeout(1.0), tail)
+    engine.run()
+    assert order == ["first", "second"]
+    # timer, relay, and one delivery event per cast
+    assert engine.events_processed == 4
+
+
+def test_nested_run_keeps_the_outer_loops_behaviour(engine: Engine):
+    in_place: list[bool] = []
+
+    def fire_at_tail() -> None:
+        fired = engine.event()
+        engine.fire(fired)
+        in_place.append(fired.processed)
+
+    def nested(_ev):
+        _on(engine.timeout(0.0), lambda _ev: fire_at_tail())
+        engine.step()  # a nested step() pushes
+        _on(engine.timeout(0.5), lambda _ev: fire_at_tail())
+        engine.run(until=1.5)  # a nested run() processes in place
+        engine.run(until=engine.timeout(0.25))
+        fire_at_tail()  # the outer loop's state is back: in place
+
+    _on(engine.timeout(1.0), nested)
+    stop = _on(engine.timeout(3.0), lambda _ev: None)
+    engine.run(until=stop)
+    assert in_place == [False, True, True]
+    assert engine.now == 3.0 and engine.peek() == float("inf")
+    assert engine.events_processed == 8
+
+
+def test_run_until_infinity_leaves_the_clock_at_the_last_event(
+        engine: Engine):
+    engine.timeout(2.0)
+    engine.run(until=math.inf)
+    assert engine.now == 2.0
+    engine.run(until=10.0)
+    assert engine.now == 10.0
