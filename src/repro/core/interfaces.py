@@ -23,19 +23,15 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import random
 import typing
-from math import exp, log
 
 from repro.calibration import SideTaskProfile
+from repro.sim.events import SimEvent, Timeout
 from repro.sim.rng import RandomStreams
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
     from repro.sim.engine import Engine
-
-#: ``random.normalvariate``'s constant, for :meth:`SideTaskContext.jitter`
-_NV_MAGICCONST = random.NV_MAGICCONST
 
 
 @dataclasses.dataclass
@@ -56,13 +52,6 @@ class SideTaskContext:
         return self.engine.now
 
     def jitter(self, mean: float, rel_sigma: float = 0.02) -> float:
-        """``mean`` times a lognormal draw from the task's stream.
-
-        ``stream.lognormvariate(0.0, rel_sigma) * mean``, open-coded: the
-        stdlib's Kinderman-Monahan loop with the same ``random()`` calls
-        and float operations, so the value and the stream's state match
-        bit for bit (``tests/core/test_interfaces.py`` pins both).
-        """
         if mean <= 0:
             return 0.0
         if rel_sigma <= 0:
@@ -70,15 +59,7 @@ class SideTaskContext:
         stream = self._stream
         if stream is None:
             stream = self._stream = self.rng.stream(f"task:{self.task_name}")
-        draw = stream.random
-        while True:
-            u1 = draw()
-            u2 = 1.0 - draw()
-            z = _NV_MAGICCONST * (u1 - 0.5) / u2
-            zz = z * z / 4.0
-            if zz <= -log(u2):
-                break
-        return exp(0.0 + z * rel_sigma) * mean
+        return stream.lognormvariate(0.0, rel_sigma) * mean
 
 
 class SideTaskBase(abc.ABC):
@@ -144,20 +125,33 @@ class IterativeSideTask(SideTaskBase):
         the default body realizes the profiled step duration with the
         profiled host/GPU split. Override for custom step structure: the
         runtime then drives the override as a generator. A task that
-        keeps this body has its steps run as callbacks on the same
-        events instead (``repro.core.runtime._StepDriver``, which must
-        stay in step with it), with identical results.
+        keeps this body has its steps run as callbacks on the same events
+        instead (``repro.core.runtime._StepDriver``, built from the same
+        two phases below), with identical results.
         """
-        perf = self.perf
-        step_time_s = perf.step_time_s
-        host_s = step_time_s * (1.0 - perf.gpu_duty)
-        kernel_s = step_time_s * perf.gpu_duty
-        if host_s > 0:
-            yield ctx.engine.timeout(ctx.jitter(host_s))
-        self.compute_step()
-        yield ctx.proc.launch_kernel(ctx.jitter(kernel_s), perf.sm_demand,
-                                     self.name)
+        host = self._host_phase(ctx)
+        if host is not None:
+            yield host
+        yield self._launch_step(ctx)
         self._account_step()
+
+    def _host_phase(self, ctx: SideTaskContext) -> Timeout | None:
+        """The stock step's host phase: a timeout of the jittered host
+        time, or None when the profile puts all of the step on the GPU."""
+        perf = self.perf
+        host_s = perf.step_time_s * (1.0 - perf.gpu_duty)
+        if host_s > 0:
+            return Timeout(ctx.engine, ctx.jitter(host_s))
+        return None
+
+    def _launch_step(self, ctx: SideTaskContext) -> SimEvent:
+        """The stock step after its host phase: ``compute_step``, then
+        the jittered kernel; returns the kernel's done event."""
+        self.compute_step()
+        perf = self.perf
+        return ctx.proc.launch_kernel(
+            ctx.jitter(perf.step_time_s * perf.gpu_duty), perf.sm_demand,
+            self.name)
 
     @abc.abstractmethod
     def compute_step(self) -> None:

@@ -394,9 +394,7 @@ class IterativeRuntime(SideTaskRuntime):
                 if command.kind is CommandKind.START:
                     bubble_end = command.bubble_end  # refreshed window
                 continue
-            # Written as not (... <= ...) so a NaN bubble end never fits.
-            if (bubble_end is not None and reach is not None
-                    and not (sim.now + reach <= bubble_end)):
+            if not _step_fits(sim.now, reach, bubble_end):
                 # Program-directed limit: idle out the bubble's tail.
                 wait_start = sim.now
                 yield from self._wait_for_command_event()
@@ -466,6 +464,17 @@ class IterativeRuntime(SideTaskRuntime):
             self.machine.apply(Transition.RESUME, self.sim.now)
 
 
+def _step_fits(now: float, reach: float | None,
+               bubble_end: float | None) -> bool:
+    """The program-directed limit: may a step start at ``now``?
+
+    ``reach`` is the profiled step time times the safety margin; a step
+    fits when ``now + reach`` does not pass the bubble's end, or either
+    is unknown. Written as ``<=`` so a NaN bubble end never fits.
+    """
+    return bubble_end is None or reach is None or now + reach <= bubble_end
+
+
 def _stock_steps(workload: IterativeSideTask) -> bool:
     """True when ``workload`` runs ``IterativeSideTask.run_next_step``."""
     hook = getattr(workload.run_next_step, "__func__", None)
@@ -482,28 +491,30 @@ class _StepDriver:
     same event as the generator's:
 
     * the overhead timeout: ``overhead_s``, ``RunNextStep``, the step's
-      start, the host jitter and the host timeout;
-    * the host timeout: ``compute_step``, the kernel jitter and the
-      launch;
+      start and its host phase (the jitter and the host timeout);
+    * the host timeout: the step's launch (``compute_step``, the kernel
+      jitter and the launch);
     * the kernel's done event: the step's accounting and ``running_s``,
       then the loop's checks in the generator's order (finished,
       checkpoint due, state, commands, fit) and the next overhead
       timeout.
 
-    A zero overhead or host time skips that timeout, as the generator
-    does. Meanwhile the process waits on ``wait``, an event that is
-    never scheduled. When a check fails, or a phase raises, the driver
-    resumes it in place (no event, no seq, no count), so the generator
-    takes over at the same instant. A kill takes the process's callback
-    off ``wait``; every later callback of the driver then does nothing,
-    as the generator's removed resume callbacks do. The phases
-    :meth:`start` runs before the process waits raise directly.
+    ``IterativeSideTask._host_phase`` and ``_launch_step`` build the two
+    phases for ``run_next_step`` and the driver alike, and
+    ``_step_fits`` is the fit check of both loops. A zero overhead or
+    host time skips that timeout, as the generator does. Meanwhile the
+    process waits on ``wait``, an event that is never scheduled. When a
+    check fails, or a phase raises, the driver resumes it in place (no
+    event, no seq, no count), so the generator takes over at the same
+    instant. A kill takes the process's callback off ``wait``; every
+    later callback of the driver then does nothing, as the generator's
+    removed resume callbacks do. The phases :meth:`start` runs before
+    the process waits raise directly.
     """
 
     __slots__ = ("runtime", "engine", "machine", "commands", "workload",
                  "ctx", "checkpoint", "reach", "overhead", "bubble_end",
-                 "wait", "step_start", "perf", "on_overhead", "on_host",
-                 "on_done")
+                 "wait", "step_start", "on_overhead", "on_host", "on_done")
 
     def __init__(self, runtime: IterativeRuntime, reach: float | None,
                  overhead: float):
@@ -519,7 +530,6 @@ class _StepDriver:
         self.bubble_end: float | None = None
         self.wait: SimEvent | None = None
         self.step_start = 0.0
-        self.perf = None
         # bound once: one of them is registered on every step's events
         self.on_overhead = self._on_overhead
         self.on_host = self._on_host
@@ -551,24 +561,14 @@ class _StepDriver:
         now = self.engine.now
         self.machine.apply(Transition.RUN_NEXT_STEP, now)
         self.step_start = now
-        # IterativeSideTask.run_next_step up to its first yield
-        self.perf = perf = self.workload.perf
-        host_s = perf.step_time_s * (1.0 - perf.gpu_duty)
-        if host_s > 0:
-            Timeout(self.engine, self.ctx.jitter(host_s)).callbacks.append(
-                self.on_host)
+        host = self.workload._host_phase(self.ctx)
+        if host is not None:
+            host.callbacks.append(self.on_host)
         else:
             self._launch()
 
     def _launch(self) -> None:
-        workload = self.workload
-        perf = self.perf
-        workload.compute_step()
-        ctx = self.ctx
-        done = ctx.proc.launch_kernel(
-            ctx.jitter(perf.step_time_s * perf.gpu_duty), perf.sm_demand,
-            workload.name)
-        done.callbacks.append(self.on_done)
+        self.workload._launch_step(self.ctx).callbacks.append(self.on_done)
 
     def _on_overhead(self, _event: SimEvent) -> None:
         if not self.wait.callbacks:
@@ -599,15 +599,12 @@ class _StepDriver:
             now = self.engine.now
             runtime = self.runtime
             runtime.running_s += now - self.step_start
-            bubble_end = self.bubble_end
-            reach = self.reach
             if not (workload.is_finished
                     or (self.checkpoint is not None
                         and runtime._should_checkpoint())
                     or self.machine.state is not SideTaskState.RUNNING
                     or self.commands
-                    or (bubble_end is not None and reach is not None
-                        and not (now + reach <= bubble_end))):
+                    or not _step_fits(now, self.reach, self.bubble_end)):
                 self._start_overhead()
                 return
         except Exception as exc:  # noqa: BLE001 - the generator raises it

@@ -9,8 +9,8 @@ rescheduled at the new rates — the standard processor-sharing construction
 for discrete-event simulators. A kernel that lands on an idle device
 skips that pass: alone, it has nothing to settle and a slowdown of
 exactly 1, so :meth:`SimGPU.launch` schedules its completion directly
-with the same arithmetic on the same values. When that completion
-leaves the device idle, the kernel's done event is fired in place
+with the same arithmetic on the same values. A completion that leaves
+the device idle fires the kernel's done event in place
 (:meth:`~repro.sim.engine.Engine.fire`): its waiter runs inside the
 timer's event, exactly where the heap would have run it next.
 
@@ -23,7 +23,6 @@ The device also keeps:
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro.errors import GpuOutOfMemoryError, SimulationError
@@ -39,36 +38,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class _KernelRun:
     """Book-keeping for one in-flight kernel."""
 
-    __slots__ = ("device", "kernel", "remaining", "rate", "last_update",
-                 "version")
+    __slots__ = ("kernel", "remaining", "rate", "last_update", "version")
 
-    def __init__(self, device: "SimGPU", kernel: Kernel, remaining: float,
-                 now: float):
-        self.device = device
+    def __init__(self, kernel: Kernel, remaining: float, now: float):
         self.kernel = kernel
         self.remaining = remaining
         self.rate = 1.0
         self.last_update = now
         self.version = 0
-
-    def on_idle_timer(self, _event: SimEvent) -> None:
-        """Completion timer of a run launched on an idle device.
-
-        ``SimGPU._on_timer`` and ``_complete`` for version 1, except
-        that a device left idle fires the done event in place.
-        """
-        device = self.device
-        runs = device._runs
-        kernel = self.kernel
-        if self.version != 1 or kernel.kid not in runs:
-            return  # stale timer from before a recompute
-        del runs[kernel.kid]
-        device._record_occupancy(device.engine.now)
-        if runs:
-            kernel.done.succeed(kernel)
-            device._recompute()
-        else:
-            device.engine.fire(kernel.done, kernel)
 
 
 class SimGPU:
@@ -105,6 +82,9 @@ class SimGPU:
         #: cumulative busy seconds (any kernel active), for utilization stats
         self.busy_time: float = 0.0
         self._busy_since: float | None = None
+        #: the one callback of every completion timer, bound once; the
+        #: timer's value is its run and the run's version
+        self._timer_callback = self._on_timer
 
     # ------------------------------------------------------------------
     # memory ledger
@@ -172,7 +152,7 @@ class SimGPU:
         engine = self.engine
         done = kernel.done = SimEvent(engine)
         now = engine.now
-        run = _KernelRun(self, kernel, kernel.work_s / self.speed_factor, now)
+        run = _KernelRun(kernel, kernel.work_s / self.speed_factor, now)
         alone = not runs
         runs[kernel.kid] = run
         if kernel.work_s == 0:
@@ -187,7 +167,8 @@ class SimGPU:
             else:
                 self._record_point(now, 0.0, kernel.sm_demand)
             run.version = 1
-            Timeout(engine, run.remaining).callbacks.append(run.on_idle_timer)
+            Timeout(engine, run.remaining, (run, 1)).callbacks.append(
+                self._timer_callback)
         else:
             self._recompute()
         return done
@@ -255,15 +236,23 @@ class SimGPU:
             self._schedule_completion(run)
 
     def _schedule_completion(self, run: _KernelRun) -> None:
-        timeout = self.engine.timeout(run.remaining / run.rate)
-        timeout.callbacks.append(
-            functools.partial(self._on_timer, run, run.version))
+        Timeout(self.engine, run.remaining / run.rate,
+                (run, run.version)).callbacks.append(self._timer_callback)
 
-    def _on_timer(self, run: _KernelRun, version: int,
-                  _event: SimEvent) -> None:
-        if run.version != version or run.kernel.kid not in self._runs:
+    def _on_timer(self, timer: SimEvent) -> None:
+        run, version = timer._value
+        runs = self._runs
+        kernel = run.kernel
+        if run.version != version or kernel.kid not in runs:
             return  # stale timer from before a recompute
-        self._complete(run)
+        del runs[kernel.kid]
+        self._record_occupancy(self.engine.now)
+        if runs:
+            kernel.done.succeed(kernel)
+            self._recompute()
+        else:
+            # This callback is its fresh timer's only one: fire at its tail.
+            self.engine.fire(kernel.done, kernel)
 
     def _complete(self, run: _KernelRun) -> None:
         self._runs.pop(run.kernel.kid, None)

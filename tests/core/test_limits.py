@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.manager import SideTaskManager
 from repro.core.profiler import profile_side_task
+from repro.core.runtime import _step_fits
 from repro.core.states import SideTaskState
 from repro.core.task_spec import TaskSpec
 from repro.core.worker import ManagedBubble, SideTaskWorker
@@ -68,6 +69,19 @@ class TestProgramDirectedLimit:
             default=0.0,
         )
         assert last_point <= end + 0.02
+
+
+@pytest.mark.parametrize("now, reach, bubble_end, fits", [
+    (1.0, 0.25, 1.25, True),  # the step ends exactly at the bubble's end
+    (1.0, 0.25, 1.2, False),
+    (1.0, 0.25, float("nan"), False),  # a NaN bubble end never fits
+    (1.0, 0.25, None, True),  # no bubble end announced
+    (1.0, None, 1.1, True),  # no profiled step time
+])
+def test_step_fit_check(now, reach, bubble_end, fits):
+    """The program-directed limit both step loops share: a step may start
+    when ``now + reach`` does not pass the bubble's end."""
+    assert _step_fits(now, reach, bubble_end) is fits
 
 
 class TestFrameworkEnforcedLimit:

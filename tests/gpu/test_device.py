@@ -295,3 +295,57 @@ def test_kernel_work_must_be_a_non_negative_number(engine: Engine,
     with pytest.raises(ValueError, match="kernel work must be >= 0"):
         proc.launch_kernel(work_s=work_s)
     assert gpu.active_kernels() == []
+
+
+
+def _tie_log(fire_in_place: bool):
+    """Kernels with same-instant ties at their completions, scheduled
+    before and after each launch; returns the firing log and the event
+    count. Without ``fire_in_place``, ``Engine.fire`` is ``succeed()``."""
+    from repro.gpu.kernel import TRAINING_INTERFERENCE
+
+    engine = Engine()
+    if not fire_in_place:
+        engine.fire = lambda event, value=None: event.succeed(value)
+    gpu = SimGPU(engine, "g", memory_gb=48.0)
+    procs = {
+        "side": _proc(engine, gpu, "side",
+                      interference=Interference(mps_on_higher=0.2)),
+        "train": _proc(engine, gpu, "train", Priority.TRAINING,
+                       interference=TRAINING_INTERFERENCE),
+    }
+    log = []
+
+    def tie(label, at_s):
+        engine.timeout(at_s - engine.now).callbacks.append(
+            lambda _event: log.append((label, engine.now)))
+
+    def launch_at(label, at_s, name, work_s, done_at):
+        tie(f"{label} tie before", done_at)
+        yield engine.timeout(at_s)
+        done = procs[name].launch_kernel(work_s=work_s, sm_demand=0.4)
+        tie(f"{label} tie after", done_at)
+        yield done
+        log.append((f"{label} done", engine.now))
+
+    # The recompute literals' overlap: the training kernel's completion
+    # leaves the side kernel running, and the side kernel's, at 1.3,
+    # leaves the device idle on the multi-kernel path. Then a side
+    # kernel alone, on the single-kernel path.
+    engine.process(launch_at("a", 0.0, "side", 1.0, 1.3))
+    engine.process(launch_at("b", 0.25, "train", 0.5, 0.85))
+    engine.process(launch_at("c", 2.0, "side", 0.5, 2.5))
+    engine.run()
+    return log, engine.events_processed
+
+
+def test_completions_fired_in_place_keep_the_heap_order():
+    """A completion that leaves the device idle fires its done event in
+    place; with ties at its instant on both sides of its key, the order
+    and the event count equal those of ``succeed()``."""
+    fired = _tie_log(fire_in_place=True)
+    assert fired == _tie_log(fire_in_place=False)
+    at = {}
+    for label, now in fired[0]:
+        at.setdefault(label[0], set()).add(now)
+    assert at == {"a": {1.3}, "b": {0.85}, "c": {2.5}}  # real ties
