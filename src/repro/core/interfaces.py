@@ -26,7 +26,7 @@ import dataclasses
 import typing
 
 from repro.calibration import SideTaskProfile
-from repro.sim.events import SimEvent, Timeout
+from repro.sim.events import SimEvent
 from repro.sim.rng import RandomStreams
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -131,17 +131,17 @@ class IterativeSideTask(SideTaskBase):
         """
         host = self._host_phase(ctx)
         if host is not None:
-            yield host
+            yield ctx.engine.timeout(host)
         yield self._launch_step(ctx)
         self._account_step()
 
-    def _host_phase(self, ctx: SideTaskContext) -> Timeout | None:
-        """The stock step's host phase: a timeout of the jittered host
-        time, or None when the profile puts all of the step on the GPU."""
+    def _host_phase(self, ctx: SideTaskContext) -> float | None:
+        """The stock step's host phase: the jittered host seconds, drawn
+        now, or None when the profile puts all of the step on the GPU."""
         perf = self.perf
         host_s = perf.step_time_s * (1.0 - perf.gpu_duty)
         if host_s > 0:
-            return Timeout(ctx.engine, ctx.jitter(host_s))
+            return ctx.jitter(host_s)
         return None
 
     def _launch_step(self, ctx: SideTaskContext) -> SimEvent:

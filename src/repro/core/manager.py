@@ -130,8 +130,7 @@ class SideTaskManager:
         if bubble.expected_end is not None:
             # Wake exactly when the manager believes the bubble ends.
             delay = max(0.0, bubble.expected_end - self.sim.now)
-            timeout = self.sim.timeout(delay)
-            timeout.callbacks.append(lambda _ev: self._wake())
+            self.sim.call_later(delay, self._wake)
         self._wake()
 
     def bubble_ended(self, stage: int, now: float) -> None:
@@ -148,14 +147,13 @@ class SideTaskManager:
     # ------------------------------------------------------------------
     # Algorithm 2: the management sweep
     # ------------------------------------------------------------------
-    def _wake(self) -> None:
+    def _wake(self, _arg: None = None) -> None:
         if self._sweep_scheduled:
             return
         self._sweep_scheduled = True
-        event = self.sim.timeout(0.0)
-        event.callbacks.append(lambda _ev: self._run_sweep())
+        self.sim.call_later(0.0, self._run_sweep)
 
-    def _run_sweep(self) -> None:
+    def _run_sweep(self, _arg: None) -> None:
         self._sweep_scheduled = False
         self._sweep()
 
@@ -226,10 +224,8 @@ class SideTaskManager:
 
     def _schedule_init_check(self, worker: SideTaskWorker,
                              task: SideTaskRuntime, deadline: float) -> None:
-        check = self.sim.timeout(deadline)
-        check.callbacks.append(
-            lambda _ev: self._enforce_init(worker, task)
-        )
+        self.sim.call_later(
+            deadline, lambda _arg: self._enforce_init(worker, task))
 
     def _initiate_start(self, task: SideTaskRuntime, bubble: ManagedBubble) -> None:
         self._pending[id(task)] = CommandKind.START
@@ -250,10 +246,9 @@ class SideTaskManager:
     def _schedule_pause_check(self, worker: SideTaskWorker,
                               task: SideTaskRuntime,
                               initiated_at: float) -> None:
-        check = self.sim.timeout(self.grace_period_s)
-        check.callbacks.append(
-            lambda _ev: self._enforce_pause(worker, task, initiated_at)
-        )
+        self.sim.call_later(
+            self.grace_period_s,
+            lambda _arg: self._enforce_pause(worker, task, initiated_at))
 
     def stop_task(self, task: SideTaskRuntime) -> None:
         """Graceful StopSideTask via RPC."""
@@ -310,10 +305,7 @@ class SideTaskManager:
             else:
                 worker.kill_task(task, reason)
         if restart_after_s is not None:
-            timeout = self.sim.timeout(restart_after_s)
-            timeout.callbacks.append(
-                lambda _ev: self._restart_worker(stage)
-            )
+            self.sim.call_later(restart_after_s, self._restart_worker, stage)
         self._wake()
 
     def _restart_worker(self, stage: int) -> None:

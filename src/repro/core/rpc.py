@@ -19,7 +19,7 @@ from repro.sim.events import SimEvent
 
 
 class _CastBatch:
-    """Same-instant casts sharing one heap event (see ``cast``)."""
+    """Same-instant casts sharing one heap entry (see ``cast``)."""
 
     __slots__ = ("due", "seq_guard", "handlers")
 
@@ -62,11 +62,11 @@ class RpcChannel:
     def cast(self, handler: typing.Callable, *args, **kwargs) -> None:
         """Fire-and-forget: run ``handler`` one latency from now.
 
-        Same-instant casts coalesce into a single heap event. The batch
+        Same-instant casts coalesce into a single heap entry. The batch
         is joinable only while nothing else has been scheduled on the
         engine since it was created (``seq_guard``): joined casts would
         have occupied consecutive heap slots at the same timestamp
-        anyway, so running their handlers back to back inside one event
+        anyway, so running their handlers back to back inside one entry
         preserves the exact global execution order — the coalescing is
         observable only in the event count, never in the simulation.
         """
@@ -80,10 +80,8 @@ class RpcChannel:
                 # case windows overlap).
                 self.drops += 1
                 retry_at = window_end - engine.now + self.retransmit_delay_s
-                timeout = engine.timeout(retry_at)
-                timeout.callbacks.append(
-                    lambda _ev: self.cast(handler, *args, **kwargs)
-                )
+                engine.call_later(
+                    retry_at, lambda _arg: self.cast(handler, *args, **kwargs))
                 return
         due = engine.now + self.latency_s
         batch = self._batch
@@ -96,16 +94,13 @@ class RpcChannel:
             return
         batch = _CastBatch(due)
         batch.handlers.append((handler, args, kwargs))
-        timeout = engine.timeout(self.latency_s)
-        timeout.callbacks.append(
-            lambda _ev, batch=batch: self._deliver(batch)
-        )
+        engine.call_later(self.latency_s, self._deliver, batch)
         batch.seq_guard = engine._sequence
         self._batch = batch
 
     def _deliver(self, batch: _CastBatch) -> None:
         # A handler may cast again on this channel; those casts belong
-        # to a fresh event (scheduled after this one), not this batch.
+        # to a fresh entry (scheduled after this one), not this batch.
         if self._batch is batch:
             self._batch = None
         for handler, args, kwargs in batch.handlers:
@@ -117,7 +112,7 @@ class RpcChannel:
         self.calls_sent += 1
         reply = self.engine.event(name=f"{self.name}:reply")
 
-        def _invoke(_ev):
+        def _invoke(_arg):
             try:
                 result = handler(*args, **kwargs)
             except Exception as exc:  # noqa: BLE001 - deliver to caller
@@ -126,6 +121,5 @@ class RpcChannel:
                 return
             reply.succeed(result, delay=self.latency_s)
 
-        timeout = self.engine.timeout(self.latency_s)
-        timeout.callbacks.append(_invoke)
+        self.engine.call_later(self.latency_s, _invoke)
         return reply

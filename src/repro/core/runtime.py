@@ -8,9 +8,10 @@ RPCs; the runtime applies them at the granularity its interface allows:
   steps and enforces the **program-directed** time limit — a step only
   runs when the bubble's remaining time covers the profiled step duration
   plus a safety margin (section 4.5). Steps of a task that keeps the
-  stock ``run_next_step`` run as callbacks on the step's own events
-  (:class:`_StepDriver`); an overridden hook, or a fault-injected run,
-  takes the generator step loop, with identical results;
+  stock ``run_next_step`` run as callbacks on the step's own timers and
+  kernel event (:class:`_StepDriver`); an overridden hook, or a
+  fault-injected run, takes the generator step loop, with identical
+  results;
 * :class:`ImperativeRuntime` maps pause/resume onto SIGTSTP/SIGCONT; the
   stop signal cannot recall kernels already on the device, so those
   overlap with training (section 5).
@@ -32,7 +33,7 @@ from repro.core.rpc import RpcChannel
 from repro.core.states import SideTaskState, StateMachine, Transition
 from repro.core.task_spec import TaskSpec
 from repro.errors import GpuOutOfMemoryError, ProcessKilledError
-from repro.sim.events import Interrupt, SimEvent, Timeout
+from repro.sim.events import Interrupt, SimEvent
 from repro.sim.rng import RandomStreams
 from repro.sim.signals import Signal
 
@@ -482,34 +483,36 @@ def _stock_steps(workload: IterativeSideTask) -> bool:
 
 
 class _StepDriver:
-    """Runs stock iterative steps as callbacks on the step's own events.
+    """Runs stock iterative steps as callbacks on the step's own entries.
 
     The generator step loop pays three process resumes per step, each
     through ``_guarded`` → ``_main_loop`` → ``_running_loop`` →
-    ``run_next_step``. The driver does the same work from the callbacks
-    of the same events, with every RNG draw and state change inside the
-    same event as the generator's:
+    ``run_next_step``. The driver does the same work from callbacks with
+    the same ``(time, seq)`` keys, with every RNG draw and state change
+    at the same entry as the generator's. Its two timers are bare heap
+    entries (``Engine.call_later``) where the generator yields timeout
+    events:
 
-    * the overhead timeout: ``overhead_s``, ``RunNextStep``, the step's
-      start and its host phase (the jitter and the host timeout);
-    * the host timeout: the step's launch (``compute_step``, the kernel
+    * the overhead timer: ``overhead_s``, ``RunNextStep``, the step's
+      start and its host phase (the jitter and the host timer);
+    * the host timer: the step's launch (``compute_step``, the kernel
       jitter and the launch);
     * the kernel's done event: the step's accounting and ``running_s``,
       then the loop's checks in the generator's order (finished,
       checkpoint due, state, commands, fit) and the next overhead
-      timeout.
+      timer.
 
-    ``IterativeSideTask._host_phase`` and ``_launch_step`` build the two
-    phases for ``run_next_step`` and the driver alike, and
-    ``_step_fits`` is the fit check of both loops. A zero overhead or
-    host time skips that timeout, as the generator does. Meanwhile the
-    process waits on ``wait``, an event that is never scheduled. When a
-    check fails, or a phase raises, the driver resumes it in place (no
-    event, no seq, no count), so the generator takes over at the same
-    instant. A kill takes the process's callback off ``wait``; every
-    later callback of the driver then does nothing, as the generator's
-    removed resume callbacks do. The phases :meth:`start` runs before
-    the process waits raise directly.
+    ``IterativeSideTask._host_phase`` (the host seconds) and
+    ``_launch_step`` build the two phases for ``run_next_step`` and the
+    driver alike, and ``_step_fits`` is the fit check of both loops. A
+    zero overhead or host time skips that timer, as the generator does.
+    Meanwhile the process waits on ``wait``, an event that is never
+    scheduled. When a check fails, or a phase raises, the driver resumes
+    it in place (no event, no seq, no count), so the generator takes
+    over at the same instant. A kill takes the process's callback off
+    ``wait``; every later callback of the driver then does nothing, as
+    the generator's removed resume callbacks do. The phases
+    :meth:`start` runs before the process waits raise directly.
     """
 
     __slots__ = ("runtime", "engine", "machine", "commands", "workload",
@@ -552,8 +555,7 @@ class _StepDriver:
 
     def _start_overhead(self) -> None:
         if self.overhead > 0:
-            Timeout(self.engine, self.overhead).callbacks.append(
-                self.on_overhead)
+            self.engine.call_later(self.overhead, self.on_overhead)
         else:
             self._start_host()
 
@@ -563,14 +565,14 @@ class _StepDriver:
         self.step_start = now
         host = self.workload._host_phase(self.ctx)
         if host is not None:
-            host.callbacks.append(self.on_host)
+            self.engine.call_later(host, self.on_host)
         else:
             self._launch()
 
     def _launch(self) -> None:
         self.workload._launch_step(self.ctx).callbacks.append(self.on_done)
 
-    def _on_overhead(self, _event: SimEvent) -> None:
+    def _on_overhead(self, _arg: None) -> None:
         if not self.wait.callbacks:
             return  # killed
         try:
@@ -579,7 +581,7 @@ class _StepDriver:
         except Exception as exc:  # noqa: BLE001 - the generator raises it
             self._resume(exc)
 
-    def _on_host(self, _event: SimEvent) -> None:
+    def _on_host(self, _arg: None) -> None:
         if not self.wait.callbacks:
             return  # killed
         try:

@@ -3,7 +3,7 @@
 The injector does three things, all with fixed event times taken from
 the plan so no other component's random stream is disturbed:
 
-* schedules each :class:`WorkerCrash` as a simulation timeout that calls
+* schedules each :class:`WorkerCrash` as a simulation timer that calls
   ``manager.crash_worker``;
 * installs the plan's RPC drop windows on the manager's cast channel;
 * hangs itself off every worker so runtimes can consult
@@ -54,10 +54,8 @@ class FaultInjector:
                     f"crash targets stage {crash.stage} but the pool has "
                     f"{len(pool.workers)} workers"
                 )
-            timeout = sim.timeout(max(0.0, crash.at_s - sim.now))
-            timeout.callbacks.append(
-                lambda _ev, c=crash: self._crash(pool, c)
-            )
+            sim.call_later(max(0.0, crash.at_s - sim.now),
+                           lambda c: self._crash(pool, c), crash)
 
     def _crash(self, pool: "SideTaskPool", crash) -> None:
         sim = pool.sim

@@ -9,10 +9,13 @@ rescheduled at the new rates — the standard processor-sharing construction
 for discrete-event simulators. A kernel that lands on an idle device
 skips that pass: alone, it has nothing to settle and a slowdown of
 exactly 1, so :meth:`SimGPU.launch` schedules its completion directly
-with the same arithmetic on the same values. A completion that leaves
-the device idle fires the kernel's done event in place
-(:meth:`~repro.sim.engine.Engine.fire`): its waiter runs inside the
-timer's event, exactly where the heap would have run it next.
+with the same arithmetic on the same values. A completion timer is a
+bare heap entry (:meth:`~repro.sim.engine.Engine.call_later`) carrying
+its run and the run's version; a rate change supersedes it by bumping
+the version. A completion that leaves the device idle fires the
+kernel's done event in place (:meth:`~repro.sim.engine.Engine.fire`):
+its waiter runs inside the timer's entry, exactly where the heap would
+have run it next.
 
 The device also keeps:
 
@@ -28,7 +31,7 @@ import typing
 from repro.errors import GpuOutOfMemoryError, SimulationError
 from repro.gpu.kernel import Kernel, Priority
 from repro.gpu.sharing import SharingMode
-from repro.sim.events import SimEvent, Timeout
+from repro.sim.events import SimEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
@@ -83,7 +86,7 @@ class SimGPU:
         self.busy_time: float = 0.0
         self._busy_since: float | None = None
         #: the one callback of every completion timer, bound once; the
-        #: timer's value is its run and the run's version
+        #: timer's argument is its run and the run's version
         self._timer_callback = self._on_timer
 
     # ------------------------------------------------------------------
@@ -167,8 +170,7 @@ class SimGPU:
             else:
                 self._record_point(now, 0.0, kernel.sm_demand)
             run.version = 1
-            Timeout(engine, run.remaining, (run, 1)).callbacks.append(
-                self._timer_callback)
+            engine.call_later(run.remaining, self._timer_callback, (run, 1))
         else:
             self._recompute()
         return done
@@ -236,11 +238,11 @@ class SimGPU:
             self._schedule_completion(run)
 
     def _schedule_completion(self, run: _KernelRun) -> None:
-        Timeout(self.engine, run.remaining / run.rate,
-                (run, run.version)).callbacks.append(self._timer_callback)
+        self.engine.call_later(run.remaining / run.rate, self._timer_callback,
+                               (run, run.version))
 
-    def _on_timer(self, timer: SimEvent) -> None:
-        run, version = timer._value
+    def _on_timer(self, timer: tuple[_KernelRun, int]) -> None:
+        run, version = timer
         runs = self._runs
         kernel = run.kernel
         if run.version != version or kernel.kid not in runs:
@@ -251,7 +253,7 @@ class SimGPU:
             kernel.done.succeed(kernel)
             self._recompute()
         else:
-            # This callback is its fresh timer's only one: fire at its tail.
+            # The timer's entry ends with this callback: fire at its tail.
             self.engine.fire(kernel.done, kernel)
 
     def _complete(self, run: _KernelRun) -> None:

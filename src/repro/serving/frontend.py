@@ -447,10 +447,7 @@ class ServingFrontend:
                 self._live[request.request_id] = record
             else:
                 self.records.append(record)
-            timeout = self.sim.timeout(delay)
-            timeout.callbacks.append(
-                lambda _ev, record=record: self._on_arrival(record)
-            )
+            self.sim.call_later(delay, self._on_arrival, record)
 
     # -- workload assembly ---------------------------------------------
     @staticmethod
@@ -621,10 +618,7 @@ class ServingFrontend:
                           "delay_s": delay,
                           "failure": failure},
                 )
-            timeout = self.sim.timeout(delay)
-            timeout.callbacks.append(
-                lambda _ev, record=record: self._requeue(record)
-            )
+            self.sim.call_later(delay, self._requeue, record)
             return
         if retry is not None and retry.max_attempts > 1:
             record.outcome = "exhausted"
@@ -760,11 +754,10 @@ class ServingFrontend:
                 self.retry is not None
                 and self.retry.attempt_timeout_s is not None
             ):
-                timeout = self.sim.timeout(self.retry.attempt_timeout_s)
-                timeout.callbacks.append(
-                    lambda _ev, record=record, spec=spec:
-                        self._enforce_attempt_timeout(record, spec)
-                )
+                self.sim.call_later(
+                    self.retry.attempt_timeout_s,
+                    lambda _arg, record=record, spec=spec:
+                        self._enforce_attempt_timeout(record, spec))
 
     def close(self) -> None:
         """Stop admitting (training over / service shutting down)."""

@@ -8,7 +8,7 @@ per-request workload simulation for a seeded G/G/c service model:
 * **arrivals** come from the real :mod:`repro.serving.arrivals`
   processes, generated chunk-by-chunk (vectorized numpy path) through
   :meth:`~repro.serving.arrivals.ArrivalProcess.iter_time_chunks` and
-  scheduled via a self-chaining driver timeout, so no more than one
+  scheduled via a self-chaining driver timer, so no more than one
   chunk of future arrivals is ever pending;
 * **the event core** is the real :class:`~repro.sim.engine.Engine`;
 * **metrics** are the real constant-memory streaming accumulators
@@ -185,12 +185,11 @@ def run_scale(
             sojourn_samples.append(done_s - arrival_s)
 
     def start_service(arrival_s: float) -> None:
-        started_s = engine.now
-        timeout = engine.timeout(service_rng.expovariate(1.0 / mean_service_s))
-        timeout.callbacks.append(
-            lambda _ev, a=arrival_s, s=started_s: complete(a, s))
+        engine.call_later(service_rng.expovariate(1.0 / mean_service_s),
+                          complete, (arrival_s, engine.now))
 
-    def complete(arrival_s: float, started_s: float) -> None:
+    def complete(span: "tuple[float, float]") -> None:
+        arrival_s, started_s = span
         counts["completed"] += 1
         observe(arrival_s, started_s, engine.now)
         if waiting:
@@ -208,10 +207,10 @@ def run_scale(
         else:
             counts["rejected"] += 1
 
-    def feed_next(_event=None) -> None:
+    def feed_next(_arg: None = None) -> None:
         # Schedule one chunk of arrivals, then chain: when this chunk's
         # last arrival fires, the next chunk is generated and scheduled.
-        # The chain timeout is created after the arrival timeout at the
+        # The chain timer is created after the arrival timer at the
         # same instant, so (time, seq) order runs the arrival first.
         times = next(chunks, None)
         while times is not None and times.size == 0:
@@ -220,11 +219,8 @@ def run_scale(
             return
         now = engine.now
         for arrival_s in times.tolist():
-            timeout = engine.timeout(arrival_s - now)
-            timeout.callbacks.append(
-                lambda _ev, a=arrival_s: on_arrival(a))
-        chain = engine.timeout(float(times[-1]) - now)
-        chain.callbacks.append(feed_next)
+            engine.call_later(arrival_s - now, on_arrival, arrival_s)
+        engine.call_later(float(times[-1]) - now, feed_next)
 
     started = time.perf_counter()
     feed_next()

@@ -3,7 +3,9 @@
 This package is a small, dependency-free discrete-event simulator in the
 style of SimPy: simulation *processes* are Python generators that ``yield``
 events (timeouts, bare events, or composite conditions) and are resumed by
-the :class:`~repro.sim.engine.Engine` when those events trigger.
+the :class:`~repro.sim.engine.Engine` when those events trigger. A timer
+that nothing waits on skips the event: ``Engine.call_later`` schedules a
+bare callback.
 
 It is the substrate on which the simulated GPUs (:mod:`repro.gpu`), the
 pipeline-training engine (:mod:`repro.pipeline`) and the FreeRide middleware

@@ -1,22 +1,27 @@
 """The discrete-event engine: a virtual clock plus an event queue.
 
-The engine processes events in ``(time, sequence)`` order, so simultaneous
-events run in the order they were scheduled — which makes every simulation
-in this library fully deterministic for a given seed.
+The engine processes entries in ``(time, sequence)`` order, so
+simultaneous entries run in the order they were scheduled — which makes
+every simulation in this library fully deterministic for a given seed.
+
+The heap holds one kind of entry, ``(time, seq, callback, arg)``, and
+processing one is ``callback(arg)``. A timer that nothing waits on is
+just such an entry (:meth:`Engine.call_later`); a triggered event enters
+as ``(time, seq, SimEvent._process, event)``. Every entry point takes
+the next sequence number, so an entry and an event scheduled at the same
+instant keep their relative order.
 
 ``run`` localizes the heap and ``heappop`` instead of dispatching through
-``step``/``peek`` per event: the drain loop executes once per event and
-its overhead used to dominate end-to-end experiment time. The drain
-loops also open-code :meth:`SimEvent._process` (mark the event
-processed, swap its callback list out, call each callback), and the
-clock is a plain ``now`` attribute that only the engine writes. Two
-further drain-loop refinements feed the scale ladder (see
-PERFORMANCE.md): same-instant events are popped in an inner batch so
-the clock is written once per distinct instant, and the horizon loop
-pops first and compares the popped time against the horizon (pushing
-the one overshooting event back) instead of peeking ``heap[0][0]``
-twice per event. Running to exhaustion is the same loop with an
-infinite horizon.
+``step``/``peek`` per entry: the drain loop executes once per entry and
+its overhead used to dominate end-to-end experiment time. The clock is a
+plain ``now`` attribute that only the engine writes. Two further
+drain-loop refinements feed the scale ladder (see PERFORMANCE.md):
+same-instant entries are popped in an inner batch so the clock is
+written once per distinct instant, and the horizon loop pops first and
+compares the popped time against the horizon (pushing the one
+overshooting entry back) instead of peeking ``heap[0][0]`` twice per
+entry. Running to exhaustion is the same loop with the largest finite
+horizon: an entry due at infinity is never processed.
 
 :meth:`Engine.fire` lets a callback hand the loop the event it would
 pop next anyway: triggered at the current instant with nothing else due
@@ -27,6 +32,7 @@ through the heap (see PERFORMANCE.md, "Step callbacks").
 from __future__ import annotations
 
 import math
+import sys
 import typing
 from heapq import heappop, heappush
 
@@ -37,6 +43,10 @@ from repro.sim.events import PENDING, PROCESSED, TRIGGERED, SimEvent, Timeout
 from repro.sim.process import Process
 
 ProcessGenerator = typing.Generator[SimEvent, object, object]
+
+#: the latest instant an entry can run at; entries due at infinity wait
+#: past every horizon
+_LAST = sys.float_info.max
 
 #: Events processed by every engine in this process, as a named counter
 #: in the process-wide telemetry registry (parallel sweep workers report
@@ -66,10 +76,12 @@ class Engine:
     def __init__(self):
         #: current virtual time in seconds; written only by the engine
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        #: ``(time, seq, callback, arg)`` entries, processed as
+        #: ``callback(arg)``
+        self._heap: list[tuple[float, int, typing.Callable, object]] = []
         self._sequence = 0
         self._processes_started = 0
-        #: events this engine has popped and processed
+        #: entries this engine has popped and processed
         self.events_processed = 0
         #: inside a run() drain loop (fire may process in place)
         self._draining = False
@@ -99,22 +111,29 @@ class Engine:
         return Process(self, generator, name=name or f"proc-{self._processes_started}")
 
     # -- scheduling ------------------------------------------------------------
-    def _schedule(self, event: SimEvent, delay: float = 0.0) -> None:
+    def call_later(self, delay: float, callback: typing.Callable[[object], None],
+                   arg: object = None) -> None:
+        """Call ``callback(arg)`` ``delay`` seconds from now.
+
+        The cheap timer: a bare heap entry, no event. It takes the next
+        sequence number like every other entry point, so it keeps its
+        place among events scheduled around it.
+        """
         if not delay >= 0:  # also rejects NaN, which compares false
-            raise SimulationError(f"event delay must be >= 0, got {delay}")
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         seq = self._sequence
         self._sequence = seq + 1
-        heappush(self._heap, (self.now + delay, seq, event))
+        heappush(self._heap, (self.now + delay, seq, callback, arg))
 
     def fire(self, event: SimEvent, value: object = None) -> None:
         """Trigger ``event`` with ``value`` at the current instant.
 
-        For the tail of an event callback: nothing may run after it in
+        For the tail of an entry's callback: nothing may run after it in
         the callback, nor any other callback after it on the event being
         processed. ``event`` takes the sequence number ``succeed()``
         would, so later keys (and an :class:`~repro.core.rpc.RpcChannel`
         cast batch's ``seq_guard``) do not move. Inside a :meth:`run`
-        drain loop, when no other event is due at this instant, the
+        drain loop, when no other entry is due at this instant, the
         event is the next one the loop would pop: it is processed here
         and counted like a popped one. Otherwise, and always under
         :meth:`step` or once ``run(until=event)``'s event is processed,
@@ -138,18 +157,21 @@ class Engine:
                 callback(event)
         else:
             event._state = TRIGGERED
-            heappush(heap, (now, seq, event))
+            heappush(heap, (now, seq, SimEvent._process, event))
 
     # -- execution ---------------------------------------------------------------
     def peek(self) -> float:
-        """Time of the next event, or ``inf`` when the queue is empty."""
+        """Time of the next entry, or ``inf`` when the queue is empty."""
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
-        if not self._heap:
-            raise SimulationError("step() on an empty event heap")
-        when, _seq, event = heappop(self._heap)
+        """Process exactly one entry."""
+        heap = self._heap
+        if not heap or heap[0][0] > _LAST:
+            raise SimulationError(
+                "step() on an empty event heap (no entry due before "
+                "infinity)")
+        when, _seq, callback, arg = heappop(heap)
         if when < self.now:
             raise SimulationError("event heap corrupted: time moved backwards")
         self.now = when
@@ -157,7 +179,7 @@ class Engine:
         draining = self._draining
         self._draining = False  # step() never fires in place
         try:
-            event._process()
+            callback(arg)
         finally:
             self._draining = draining
 
@@ -166,19 +188,20 @@ class Engine:
 
         ``until`` may be:
 
-        * ``None`` — run until the heap drains;
+        * ``None`` — run until no entry is due at a finite time;
         * a number — run until virtual time reaches that instant;
         * an event — run until that event is processed, returning its value.
 
-        Scheduling guarantees monotone event times (negative and NaN
-        delays are rejected when an event is scheduled), so unlike
-        :meth:`step` the drain loops skip the per-event clock check.
-        Same-instant events are drained in an inner batch (one clock
+        Scheduling guarantees monotone entry times (negative and NaN
+        delays are rejected when an entry is scheduled), so unlike
+        :meth:`step` the drain loops skip the per-entry clock check.
+        Same-instant entries are drained in an inner batch (one clock
         write per distinct instant), and the horizon loop pops first and
-        pushes back the one event that overshoots rather than peeking
-        the front twice per event. Both loops open-code
-        :meth:`SimEvent._process`. An infinite horizon leaves the clock
-        at the last processed event, as running to exhaustion does.
+        pushes back the one entry that overshoots rather than peeking
+        the front twice per entry. An entry due at infinity is never
+        processed: it stays queued, an infinite horizon leaves the clock
+        at the last processed entry, and ``run(until=event)`` reports
+        that it ran out of events.
         """
         heap = self._heap
         processed = 0
@@ -187,22 +210,25 @@ class Engine:
         try:
             if isinstance(until, SimEvent):
                 stop_event = self._stop_event = until
+                last = _LAST
                 while stop_event._state != PROCESSED:
-                    if not heap:
-                        raise SimulationError(
-                            "simulation ran out of events before "
-                            f"{stop_event!r} was processed"
-                        )
-                    item = heappop(heap)
-                    self.now = item[0]
+                    try:
+                        item = heappop(heap)
+                    except IndexError:
+                        break
+                    when = item[0]
+                    if when > last:
+                        heappush(heap, item)
+                        break
+                    self.now = when
                     processed += 1
-                    event = item[2]
-                    event._state = PROCESSED
-                    callbacks = event.callbacks
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-                return stop_event.value
+                    item[2](item[3])
+                else:
+                    return stop_event.value
+                raise SimulationError(
+                    "simulation ran out of events before "
+                    f"{stop_event!r} was processed"
+                )
 
             self._stop_event = None
             if until is None:
@@ -216,21 +242,17 @@ class Engine:
                         f"cannot run until {horizon}; clock is already at "
                         f"{self.now}"
                     )
+            last = min(horizon, _LAST)
             while heap:
                 item = heappop(heap)
                 when = item[0]
-                if when > horizon:
+                if when > last:
                     heappush(heap, item)
                     break
                 self.now = when
                 while True:
                     processed += 1
-                    event = item[2]
-                    event._state = PROCESSED
-                    callbacks = event.callbacks
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
+                    item[2](item[3])
                     if not heap or heap[0][0] != when:
                         break
                     item = heappop(heap)

@@ -10,17 +10,16 @@ An event moves through three states:
     popped from the heap; its callbacks have run.
 
 Processes wait on events by yielding them (see :mod:`repro.sim.process`).
-
-This module is the simulator's innermost hot path: a ten-second FreeRide
-run creates several hundred thousand events, most of them timeouts. The
-classes therefore use ``__slots__`` and keep their constructors free of
-string formatting — display names are computed lazily in ``__repr__``.
+A timer that nothing waits on is not an event at all but a bare heap
+entry (:meth:`~repro.sim.engine.Engine.call_later`); a triggered event is
+the entry ``(time, seq, SimEvent._process, event)``. The classes use
+``__slots__`` and keep their constructors free of string formatting —
+display names are computed lazily in ``__repr__``.
 """
 
 from __future__ import annotations
 
 import typing
-from heapq import heappush
 
 from repro.errors import SimulationError
 
@@ -98,7 +97,7 @@ class SimEvent:
         """
         if self._state != PENDING:
             raise SimulationError(f"event {self!r} already triggered")
-        self.engine._schedule(self, delay)
+        self.engine.call_later(delay, SimEvent._process, self)
         self._state = TRIGGERED
         self._value = value
         return self
@@ -109,14 +108,16 @@ class SimEvent:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        self.engine._schedule(self, delay)
+        self.engine.call_later(delay, SimEvent._process, self)
         self._state = TRIGGERED
         self._exception = exception
         return self
 
     # -- engine hook ------------------------------------------------------
     def _process(self) -> None:
-        """Run callbacks; called exactly once by the engine."""
+        """Run callbacks; called exactly once, as the callback of the
+        event's heap entry (``Engine.fire`` open-codes it when it
+        processes an event in place)."""
         self._state = PROCESSED
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
@@ -130,28 +131,11 @@ class SimEvent:
 class Timeout(SimEvent):
     """An event that triggers after a fixed delay, created pre-triggered."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float, value: object = None):
-        if not delay >= 0:  # also rejects NaN, which compares false
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        # Field assignments and scheduling are open-coded (no
-        # super().__init__, no engine._schedule) and the display name is
-        # computed on demand: this constructor runs a few hundred thousand
-        # times per simulated run.
-        self.engine = engine
-        self.callbacks = []
-        self._state = TRIGGERED
-        self._value = value
-        self._exception = None
-        self.delay = delay
-        seq = engine._sequence
-        engine._sequence = seq + 1
-        heappush(engine._heap, (engine.now + delay, seq, self))
-
-    @property
-    def name(self) -> str:  # shadows the SimEvent slot; computed lazily
-        return f"Timeout({self.delay:.6g})"
+        super().__init__(engine)
+        self.succeed(value, delay)
 
 
 class _Condition(SimEvent):

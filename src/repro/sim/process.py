@@ -65,9 +65,7 @@ class Process(SimEvent):
         if target is not None and self._resume_callback in target.callbacks:
             target.callbacks.remove(self._resume_callback)
         self._waiting_on = None
-        wakeup = SimEvent(self.engine, name=f"{self.name}:interrupt")
-        wakeup.callbacks.append(lambda _ev: self._resume_with_throw(Interrupt(cause)))
-        wakeup.succeed()
+        self.engine.call_later(0.0, self._resume_with_throw, Interrupt(cause))
 
     # -- generator driving -------------------------------------------------
     def _resume(self, event: SimEvent) -> None:

@@ -9,14 +9,17 @@ policy are killed outright, exactly as before the layer existed.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.api.session import ServingRunner
-from repro.api.spec import FaultSpec, ScenarioSpec
+from repro.api.session import ServingRunner, Session
+from repro.api.spec import ArrivalSpec, FaultSpec, ScenarioSpec, TrainingSpec
 from repro.core.middleware import FreeRide
 from repro.core.states import SideTaskState
 from repro.experiments import common
 from repro.faults import CheckpointPolicy, FaultInjector, FaultPlan, WorkerCrash
+from repro.faults.plan import DropWindow
 from repro.serving.arrivals import RequestTemplate, TraceArrivals
 from repro.workloads.registry import workload_factory
 
@@ -146,6 +149,31 @@ class TestServingRecovery:
         # and the request record carries no failure from it.
         assert record.failure is None
         assert result.resilience.restore_overhead_s > 0
+
+
+@pytest.mark.parametrize("faults, crashes", [
+    (FaultSpec(crashes=(WorkerCrash(stage=0, at_s=math.inf),)), 0),
+    (FaultSpec(crashes=(WorkerCrash(stage=0, at_s=2.0,
+                                    restart_after_s=math.inf),)), 1),
+    (FaultSpec(attempt_timeout_s=math.inf), 0),
+    (FaultSpec(rpc_drop_windows=(DropWindow(1.0, 3.0),),
+               rpc_retransmit_delay_s=math.inf), 0),
+], ids=["crash_at", "restart_after", "attempt_timeout", "retransmit"])
+def test_timers_due_at_infinity_never_run(faults, crashes):
+    """A fault timer set to infinity stays queued through teardown: the
+    crash never happens, the worker never restarts, and the drain leaves
+    the clock at the last finite event."""
+    spec = ScenarioSpec(
+        name="infinite-timers", kind="serving", seed=3,
+        training=TrainingSpec(epochs=1),
+        arrivals=ArrivalSpec(kind="poisson", rate_per_s=1.0),
+        faults=faults,
+    )
+    with Session(spec) as session:
+        summary = session.run().results().resilience.summary()
+        sim = session.runner.freeride.sim
+        assert (summary["crashes"], summary["restarts"]) == (crashes, 0)
+        assert 0.0 < sim.now < math.inf and sim.peek() == math.inf
 
 
 class TestManagerCrashSemantics:

@@ -155,9 +155,13 @@ def test_random_timeouts_fire_in_time_then_schedule_order(
     delays = [round(rng.uniform(0.0, 40.0), 2) for _ in range(2000)]
     fired: list[int] = []
     for index, delay in enumerate(delays):
-        engine.timeout(delay).callbacks.append(
-            lambda _ev, index=index: fired.append(index)
-        )
+        # timeout events and bare call_later entries, interleaved
+        if index % 2:
+            engine.call_later(delay, fired.append, index)
+        else:
+            engine.timeout(delay).callbacks.append(
+                lambda _ev, index=index: fired.append(index)
+            )
     _drive(engine, drive)
     assert fired == sorted(range(len(delays)), key=lambda i: (delays[i], i))
     assert engine.events_processed == len(delays)
@@ -206,9 +210,10 @@ def _spawning_log(schedule, now, budget: int = 3000,
 def test_scheduling_while_running_matches_a_reference_heap(
     engine: Engine, drive: str, firing: bool
 ):
-    """Events scheduled from callbacks (zero delays included) interleave
-    with pending ones exactly as one ``heapq`` of ``(time, seq)`` pops.
-    ``Engine.fire`` from a callback's tail is a zero-delay push there."""
+    """Events and bare entries scheduled from callbacks (zero delays
+    included) interleave with pending ones exactly as one ``heapq`` of
+    ``(time, seq)`` pops. ``Engine.fire`` from a callback's tail is a
+    zero-delay push there."""
     heap: list = []
     seq = itertools.count()
     clock = 0.0
@@ -232,13 +237,17 @@ def test_scheduling_while_running_matches_a_reference_heap(
         engine.fire(event)
         in_place.append(event.processed)
 
-    log = _spawning_log(
-        lambda delay, fire: engine.timeout(delay).callbacks.append(
-            lambda _ev: fire()
-        ),
-        lambda: engine.now,
-        fire_now=fire_now if firing else None,
-    )
+    scheduled = itertools.count()
+
+    def schedule(delay, fire) -> None:
+        # alternate timeout events and bare call_later entries
+        if next(scheduled) % 2:
+            engine.call_later(delay, lambda _arg: fire())
+        else:
+            engine.timeout(delay).callbacks.append(lambda _ev: fire())
+
+    log = _spawning_log(schedule, lambda: engine.now,
+                        fire_now=fire_now if firing else None)
     _drive(engine, drive)
     assert len(log) == 3000
     assert log == reference
@@ -252,7 +261,8 @@ def test_scheduling_while_running_matches_a_reference_heap(
 
 @pytest.mark.parametrize("delay", [-1.0, float("nan")],
                          ids=["negative", "nan"])
-@pytest.mark.parametrize("trigger", ["timeout", "succeed", "fail"])
+@pytest.mark.parametrize("trigger",
+                         ["timeout", "call_later", "succeed", "fail"])
 def test_bad_delays_are_rejected_on_every_entry_point(engine: Engine,
                                                       trigger, delay):
     engine.timeout(1.0)
@@ -260,6 +270,8 @@ def test_bad_delays_are_rejected_on_every_entry_point(engine: Engine,
     with pytest.raises(SimulationError, match="delay must be >= 0"):
         if trigger == "timeout":
             engine.timeout(delay)
+        elif trigger == "call_later":
+            engine.call_later(delay, event.succeed)
         elif trigger == "succeed":
             event.succeed("value", delay=delay)
         else:
@@ -408,11 +420,17 @@ def test_fired_event_runs_after_an_earlier_same_instant_event(
 def test_step_processes_exactly_one_event_and_never_fires_in_place(
         engine: Engine):
     fired = _on(engine.event(), lambda _ev: None)
+    calls: list[str] = []
     _on(engine.timeout(1.0), lambda _ev: engine.fire(fired))
+    engine.call_later(1.0, calls.append, "entry")
     engine.step()
     assert engine.events_processed == 1 and not fired.processed
+    assert calls == []
+    engine.step()  # the bare entry, ahead of the fired event's push
+    assert engine.events_processed == 2 and calls == ["entry"]
+    assert not fired.processed
     engine.step()
-    assert engine.events_processed == 2 and fired.processed
+    assert engine.events_processed == 3 and fired.processed
     assert engine.now == 1.0
 
 
@@ -434,17 +452,23 @@ def test_fired_events_are_counted(engine: Engine):
         fired = _on(engine.event(), lambda _ev: None)
         _on(engine.timeout(delay),
             lambda _ev, fired=fired: engine.fire(fired))
+    # a bare entry counts once, as an event does; so does the event a
+    # fire from its tail processes in place
+    fired = _on(engine.event(), lambda _ev: None)
+    engine.call_later(4.0, engine.fire, fired)
     engine.run()
-    assert engine.events_processed == 6
-    assert engine.telemetry.counter("sim.events_processed").value == 6
-    assert total_events_processed() - start == 6
+    assert fired.processed
+    assert engine.events_processed == 8
+    assert engine.telemetry.counter("sim.events_processed").value == 8
+    assert total_events_processed() - start == 8
 
 
-@pytest.mark.parametrize("trigger", ("succeed", "fire"))
+@pytest.mark.parametrize("trigger", ("succeed", "fire", "call_later"))
 def test_fire_consumes_a_seq_so_a_cast_batch_is_not_joined(
         engine: Engine, trigger: str):
     """A cast after the trigger starts a new batch, as after succeed():
-    the trigger's event sits between the two casts in (time, seq)."""
+    the trigger's event, or a bare entry, sits between the two casts in
+    (time, seq)."""
     channel = RpcChannel(engine, "rpc")
     order: list[str] = []
     relay = _on(engine.event(),
@@ -454,14 +478,17 @@ def test_fire_consumes_a_seq_so_a_cast_batch_is_not_joined(
         channel.cast(order.append, "first")
         if trigger == "fire":
             engine.fire(relay)
+        elif trigger == "call_later":
+            engine.call_later(0.0, relay.succeed)
         else:
             relay.succeed()
 
     _on(engine.timeout(1.0), tail)
     engine.run()
     assert order == ["first", "second"]
-    # timer, relay, and one delivery event per cast
-    assert engine.events_processed == 4
+    # timer, relay (plus the entry that triggers it), and one delivery
+    # per cast
+    assert engine.events_processed == (5 if trigger == "call_later" else 4)
 
 
 def test_nested_run_keeps_the_outer_loops_behaviour(engine: Engine):
@@ -495,3 +522,27 @@ def test_run_until_infinity_leaves_the_clock_at_the_last_event(
     assert engine.now == 2.0
     engine.run(until=10.0)
     assert engine.now == 10.0
+
+
+@pytest.mark.parametrize("kind", ("timeout", "call_later"))
+def test_an_entry_due_at_infinity_is_never_processed(engine: Engine,
+                                                      kind: str):
+    fired: list[float] = []
+    if kind == "timeout":
+        _on(engine.timeout(math.inf), lambda _ev: fired.append(engine.now))
+    else:
+        engine.call_later(math.inf, fired.append, math.inf)
+    engine.timeout(2.0)
+    engine.run()
+    # left queued, with the clock at the last finite entry
+    assert fired == [] and engine.now == 2.0
+    assert engine.peek() == math.inf
+    engine.run(until=math.inf)
+    assert fired == [] and engine.now == 2.0
+    with pytest.raises(SimulationError, match="ran out of events"):
+        engine.run(until=engine.event())
+    with pytest.raises(SimulationError, match="empty"):
+        engine.step()
+    engine.run(until=5.0)
+    assert fired == [] and engine.now == 5.0
+    assert engine.events_processed == 1
