@@ -54,7 +54,7 @@ def _clear_experiment_caches() -> None:
     )
 
     common.run_replicated.cache_clear()
-    common._baseline_cached.cache_clear()
+    common.baseline_time.cache_clear()
     pipeline_engine._profile_bubbles_cached.cache_clear()
     graph_analytics._PAGERANK_TRAJECTORIES.clear()
     graph_analytics._GRAPH_SGD_TRAJECTORIES.clear()

@@ -147,27 +147,16 @@ def train_config(size: str = "3.6B", micro_batches: int = 4,
 
 
 @functools.lru_cache(maxsize=32)
-def _baseline_cached(params_billion: float, micro_batches: int, epochs: int,
-                     seed: int) -> float:
-    config = TrainConfig(
-        model=model_config(params_billion),
-        micro_batches=micro_batches,
-        epochs=epochs,
-        op_jitter=0.01,
-        seed=seed,
-    )
+def baseline_time(config: TrainConfig) -> float:
+    """T_noSideTask for this configuration, cached on the whole config:
+    the schedule, stage count and op jitter shape the time as much as the
+    model, micro-batches, epochs and seed do."""
     sim = Engine()
     result = PipelineEngine(
         sim, make_server_i(sim), config,
-        rng=RandomStreams(seed).spawn("pipeline"),
+        rng=RandomStreams(config.seed).spawn("pipeline"),
     ).run()
     return result.total_time
-
-
-def baseline_time(config: TrainConfig) -> float:
-    """T_noSideTask for this configuration (cached)."""
-    return _baseline_cached(config.model.params_billion, config.micro_batches,
-                            config.epochs, config.seed)
 
 
 def run_freeride(config: TrainConfig, submissions, seed: int = SEED,

@@ -9,6 +9,14 @@ to its GPU with its stage memory allocated up front (memory use is flat
 within a stage, paper Figure 1b). Ops run as high-priority kernels, so any
 co-located side task stretches them according to the device's sharing
 mode — which is precisely how the co-location overheads of Table 2 arise.
+
+The schedule is static, so everything an epoch's bookkeeping needs from
+it — each op's index, name, dependencies and whether it is its stage's
+first backward — is worked out once per (schedule, stages, micro-batches)
+in an op plan (:func:`_stage_plans`). Training runs as one process per
+run that wakes once per epoch; each stage's epoch runs as callbacks on
+its own entries (:class:`_StageEpoch`), with the ``(time, seq)`` keys a
+generator process per stage per epoch would take.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from repro.gpu.kernel import TRAINING_INTERFERENCE, Priority
 from repro.gpu.process import GPUProcess
 from repro.pipeline.analysis import (
     BubbleRecord,
+    BubbleType,
     EpochRecord,
     TrainingTrace,
     classify_gap,
@@ -37,7 +46,7 @@ from repro.pipeline.ops import Op, OpKind, OpRecord, dependencies
 from repro.pipeline.schedule import stage_order
 from repro.pipeline.timing import TimingModel
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, SimEvent
+from repro.sim.events import PENDING, PROCESSED, SimEvent
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 
@@ -52,6 +61,9 @@ MIN_REPORT_S = 0.05
 #: SM demand of training kernels (Figure 1a shows near-full occupancy)
 OP_SM_DEMAND = 0.95
 OPTIMIZER_SM_DEMAND = 0.55
+#: the bubble after a stage's last op, until the epoch barrier
+_TRAILING = classify_gap(is_before_first_op=False, is_after_last_op=True,
+                         next_is_first_backward=False)
 
 
 @dataclasses.dataclass
@@ -113,12 +125,16 @@ class PipelineEngine:
             )
             for stage in range(config.num_stages)
         ]
-        self._orders = [
-            stage_order(config.schedule, stage, config.num_stages,
-                        config.micro_batches)
-            for stage in range(config.num_stages)
-        ]
+        self._op_names, self._plans = _stage_plans(
+            config.schedule, config.num_stages, config.micro_batches)
         self._start_time: float | None = None
+        #: per-stage memory a bubble offers, read once the stages hold
+        #: their allocations
+        self._available_gb: list[float] = []
+        #: the running epoch's barrier: stages still in it, and the event
+        #: the training process waits on
+        self._stages_running = 0
+        self._epoch_done: SimEvent | None = None
 
     # ------------------------------------------------------------------
     # public API
@@ -139,22 +155,18 @@ class PipelineEngine:
         self._start_time = self.sim.now
         for stage, proc in enumerate(self.stage_procs):
             proc.allocate(self.memory.stage_memory_gb(stage))
+        self._available_gb = [self.memory.available_gb(stage)
+                              for stage in range(self.config.num_stages)]
         for epoch in range(self.config.epochs):
             epoch_start = self.sim.now
             self.listener.on_epoch_start(epoch, epoch_start)
-            op_done: dict[Op, SimEvent] = {}
-            for stage in range(self.config.num_stages):
-                for op in self._orders[stage]:
-                    op_done[op] = self.sim.event(name=str(op))
+            op_done = [SimEvent(self.sim, name) for name in self._op_names]
             trailing: dict[int, tuple[float, int]] = {}
-            stage_runs = [
-                self.sim.process(
-                    self._stage_epoch(stage, epoch, op_done, trailing),
-                    name=f"stage{stage}-epoch{epoch}",
-                )
-                for stage in range(self.config.num_stages)
-            ]
-            yield AllOf(self.sim, stage_runs)
+            self._stages_running = self.config.num_stages
+            self._epoch_done = SimEvent(self.sim)
+            for stage in range(self.config.num_stages):
+                _StageEpoch(self, stage, epoch, op_done, trailing)
+            yield self._epoch_done
             epoch_end = self.sim.now
             self._close_trailing_bubbles(epoch, epoch_end, trailing)
             self.trace.epochs.append(EpochRecord(epoch, epoch_start, epoch_end))
@@ -167,85 +179,11 @@ class PipelineEngine:
         )
         return result
 
-    def _stage_epoch(self, stage, epoch, op_done, trailing):
-        proc = self.stage_procs[stage]
-        order = self._orders[stage]
-        first_backward = next(
-            (op for op in order if op.kind is OpKind.BACKWARD), None
-        )
-        # Bubbles are identified by the op position they precede (the
-        # trailing bubble uses len(order)). The instrumentation hooks sit
-        # at fixed code sites in the schedule, so this key — unlike a
-        # running per-epoch counter — stays aligned with the offline
-        # profile even when co-location perturbs the timing and creates
-        # or removes incidental waits.
-        for position, op in enumerate(order):
-            deps = [op_done[dep] for dep in dependencies(op, self.config.num_stages)]
-            pending = [event for event in deps if not event.processed]
-            # An event that has triggered but not yet processed completes at
-            # this same instant: waiting on it costs zero time and is not a
-            # bubble. Only genuinely untriggered dependencies open one.
-            will_wait = any(not event.triggered for event in deps)
-            if not will_wait and pending:
-                yield AllOf(self.sim, pending)
-                pending = []
-            if pending:
-                wait_start = self.sim.now
-                btype = classify_gap(
-                    is_before_first_op=(position == 0),
-                    is_after_last_op=False,
-                    next_is_first_backward=(op == first_backward),
-                )
-                reported = self._report_bubble_start(
-                    stage, position, wait_start, btype
-                )
-                yield AllOf(self.sim, pending)
-                wait_end = self.sim.now
-                if reported:
-                    self.listener.on_bubble_end(stage, wait_end)
-                    if self.listener.hook_cost_s > 0:
-                        yield self.sim.timeout(self.listener.hook_cost_s)
-                if wait_end - wait_start >= MIN_BUBBLE_S:
-                    self.trace.bubbles.append(
-                        BubbleRecord(
-                            epoch=epoch,
-                            stage=stage,
-                            index=position,
-                            start=wait_start,
-                            end=wait_end,
-                            btype=btype,
-                            available_gb=self.memory.available_gb(stage),
-                        )
-                    )
-            duration = self.timing.op_duration(op)
-            start = self.sim.now
-            done = proc.launch_kernel(
-                work_s=duration, sm_demand=OP_SM_DEMAND, name=str(op)
-            )
-            yield done
-            self.trace.ops.append(
-                OpRecord(epoch=epoch, op=op, start=start, end=self.sim.now)
-            )
-            op_done[op].succeed()
-        # Per-stage optimizer step (busy, bubble-free).
-        opt_time = self.rng.jitter(
-            f"opt:{stage}", self.timing.optimizer_time, self.config.op_jitter
-        ) if self.config.op_jitter > 0 else self.timing.optimizer_time
-        yield proc.launch_kernel(
-            work_s=opt_time, sm_demand=OPTIMIZER_SM_DEMAND, name=f"opt-s{stage}"
-        )
-        # The stage now idles until the slowest stage finishes the epoch:
-        # the trailing Type-A bubble. Report its start; the coordinator
-        # closes it when the epoch barrier falls.
-        trailing_index = len(order)
-        self._report_bubble_start(
-            stage, trailing_index, self.sim.now, classify_gap(
-                is_before_first_op=False,
-                is_after_last_op=True,
-                next_is_first_backward=False,
-            ),
-        )
-        trailing[stage] = (self.sim.now, trailing_index)
+    def _stage_finished(self, _arg: None) -> None:
+        """A stage's epoch ended; the last one to end ends the epoch."""
+        self._stages_running -= 1
+        if not self._stages_running:
+            self._epoch_done.succeed()
 
     def _report_bubble_start(self, stage, index, start, btype) -> bool:
         """Report to the listener unless the profile says it is negligible.
@@ -264,7 +202,7 @@ class PipelineEngine:
                 index=index,
                 start=start,
                 btype=btype,
-                available_gb=self.memory.available_gb(stage),
+                available_gb=self._available_gb[stage],
                 expected_duration=expected,
             )
         )
@@ -286,14 +224,221 @@ class PipelineEngine:
                         index=index,
                         start=start,
                         end=epoch_end,
-                        btype=classify_gap(
-                            is_before_first_op=False,
-                            is_after_last_op=True,
-                            next_is_first_backward=False,
-                        ),
-                        available_gb=self.memory.available_gb(stage),
+                        btype=_TRAILING,
+                        available_gb=self._available_gb[stage],
                     )
                 )
+
+
+#: one planned op: ``(op, index, name, is_first_backward, dependency
+#: indices)``, indices into the epoch's op list
+_PlannedOp = tuple[Op, int, str, bool, tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=64)
+def _stage_plans(
+    schedule: str, num_stages: int, micro_batches: int,
+) -> tuple[tuple[str, ...], tuple[tuple[_PlannedOp, ...], ...]]:
+    """The op plan of one schedule: ``(names, plans)``.
+
+    Ops are indexed stage by stage in each stage's execution order;
+    ``names[index]`` is the op's name and ``plans[stage]`` lists the
+    stage's ops in order. An epoch's op events are then a list indexed
+    like ``names``, so no op is built, hashed or formatted per epoch.
+    The plan is immutable and shared by every engine with this shape.
+    """
+    orders = [stage_order(schedule, stage, num_stages, micro_batches)
+              for stage in range(num_stages)]
+    index = {op: position for position, op in
+             enumerate(op for order in orders for op in order)}
+    names = tuple(str(op) for op in index)
+    plans = []
+    for order in orders:
+        first_backward = next(
+            (op for op in order if op.kind is OpKind.BACKWARD), None
+        )
+        plans.append(tuple(
+            (op, index[op], names[index[op]], op == first_backward,
+             tuple(index[dep] for dep in dependencies(op, num_stages)))
+            for op in order
+        ))
+    return names, tuple(plans)
+
+
+class _StageEpoch:
+    """One stage's epoch, run as callbacks on its own entries.
+
+    Each wait takes the entry, with the ``(time, seq)`` key, that a
+    generator process running the stage's epoch would take:
+
+    * the start: a zero-delay entry where the process's bootstrap event
+      would be, made as the training process starts the epoch;
+    * a dependency wait: a join registered on the same pending op events
+      in the same order as an ``AllOf``; when the last is processed it
+      schedules the continuation at zero delay, where the ``AllOf``
+      would trigger;
+    * an op's or the optimizer's kernel: the continuation on the kernel's
+      done event, where the process's resume would be (a lone kernel's
+      completion still fires in place);
+    * the hook cost: a timer of ``hook_cost_s``, where the timeout was;
+    * the end: a zero-delay entry where the process's own termination
+      event would be, running the epoch barrier
+      (:meth:`PipelineEngine._stage_finished`).
+
+    Bubbles are identified by the op position they precede (the trailing
+    bubble uses ``len(plan)``). The instrumentation hooks sit at fixed
+    code sites in the schedule, so this key — unlike a running per-epoch
+    counter — stays aligned with the offline profile even when
+    co-location perturbs the timing and creates or removes incidental
+    waits. A listener hook that raises, or a failed kernel, raises out of
+    the callback and so out of :meth:`Engine.run`.
+    """
+
+    __slots__ = ("engine", "sim", "stage", "epoch", "plan", "op_done",
+                 "trailing", "proc", "position", "op_start", "wait_start",
+                 "wait_end", "btype", "reported", "waiting", "resume",
+                 "on_child", "on_op_done")
+
+    def __init__(self, engine: PipelineEngine, stage: int, epoch: int,
+                 op_done: list[SimEvent],
+                 trailing: dict[int, tuple[float, int]]):
+        self.engine = engine
+        self.sim = engine.sim
+        self.stage = stage
+        self.epoch = epoch
+        self.plan = engine._plans[stage]
+        self.op_done = op_done
+        self.trailing = trailing
+        self.proc = engine.stage_procs[stage]
+        self.position = 0
+        self.op_start = 0.0
+        #: the open bubble: its start, end, type and whether it was
+        #: reported
+        self.wait_start = self.wait_end = 0.0
+        self.btype: BubbleType | None = None
+        self.reported = False
+        #: pending events of the current join, and what runs after it
+        self.waiting = 0
+        self.resume: typing.Callable[[None], None] | None = None
+        # bound once: registered on every op event and kernel it waits on
+        self.on_child = self._on_child
+        self.on_op_done = self._on_op_done
+        self.sim.call_later(0.0, self._next_op)
+
+    def _join(self, pending: list[SimEvent],
+              resume: typing.Callable[[None], None]) -> None:
+        self.waiting = len(pending)
+        self.resume = resume
+        on_child = self.on_child
+        for event in pending:
+            event.callbacks.append(on_child)
+
+    def _on_child(self, _event: SimEvent) -> None:
+        self.waiting -= 1
+        if not self.waiting:
+            self.sim.call_later(0.0, self.resume)
+
+    def _next_op(self, _arg: None = None) -> None:
+        position = self.position
+        _op, _index, _name, is_first_backward, deps = self.plan[position]
+        op_done = self.op_done
+        pending = [op_done[dep] for dep in deps
+                   if op_done[dep]._state != PROCESSED]
+        if not pending:
+            self._launch()
+        elif all(event._state != PENDING for event in pending):
+            # An event that has triggered but not yet processed completes
+            # at this same instant: waiting on it costs zero time and is
+            # not a bubble. Only an untriggered dependency opens one.
+            self._join(pending, self._launch)
+        else:
+            self.wait_start = self.sim.now
+            self.btype = btype = classify_gap(
+                is_before_first_op=(position == 0),
+                is_after_last_op=False,
+                next_is_first_backward=is_first_backward,
+            )
+            self.reported = self.engine._report_bubble_start(
+                self.stage, position, self.wait_start, btype
+            )
+            self._join(pending, self._on_wait_end)
+
+    def _on_wait_end(self, _arg: None) -> None:
+        self.wait_end = now = self.sim.now
+        if self.reported:
+            listener = self.engine.listener
+            listener.on_bubble_end(self.stage, now)
+            if listener.hook_cost_s > 0:
+                self.sim.call_later(listener.hook_cost_s, self._close_bubble)
+                return
+        self._close_bubble()
+
+    def _close_bubble(self, _arg: None = None) -> None:
+        if self.wait_end - self.wait_start >= MIN_BUBBLE_S:
+            engine = self.engine
+            engine.trace.bubbles.append(
+                BubbleRecord(
+                    epoch=self.epoch,
+                    stage=self.stage,
+                    index=self.position,
+                    start=self.wait_start,
+                    end=self.wait_end,
+                    btype=self.btype,
+                    available_gb=engine._available_gb[self.stage],
+                )
+            )
+        self._launch()
+
+    def _launch(self, _arg: None = None) -> None:
+        op, _index, name, _first, _deps = self.plan[self.position]
+        duration = self.engine.timing.op_duration(op)
+        self.op_start = self.sim.now
+        done = self.proc.launch_kernel(
+            work_s=duration, sm_demand=OP_SM_DEMAND, name=name
+        )
+        done.callbacks.append(self.on_op_done)
+
+    def _on_op_done(self, done: SimEvent) -> None:
+        if done._exception is not None:
+            raise done._exception
+        op, index, _name, _first, _deps = self.plan[self.position]
+        self.engine.trace.ops.append(
+            OpRecord(epoch=self.epoch, op=op, start=self.op_start,
+                     end=self.sim.now)
+        )
+        self.op_done[index].succeed()
+        self.position += 1
+        if self.position < len(self.plan):
+            self._next_op()
+        else:
+            self._optimize()
+
+    def _optimize(self) -> None:
+        """Per-stage optimizer step (busy, bubble-free)."""
+        engine = self.engine
+        stage = self.stage
+        jitter = engine.config.op_jitter
+        opt_time = engine.timing.optimizer_time
+        if jitter > 0:
+            opt_time = engine.rng.jitter(f"opt:{stage}", opt_time, jitter)
+        done = self.proc.launch_kernel(
+            work_s=opt_time, sm_demand=OPTIMIZER_SM_DEMAND,
+            name=f"opt-s{stage}"
+        )
+        done.callbacks.append(self._on_optimized)
+
+    def _on_optimized(self, done: SimEvent) -> None:
+        # The stage now idles until the slowest stage finishes the epoch:
+        # the trailing Type-A bubble. Report its start; the coordinator
+        # closes it when the epoch barrier falls.
+        if done._exception is not None:
+            raise done._exception
+        now = self.sim.now
+        trailing_index = len(self.plan)
+        self.engine._report_bubble_start(self.stage, trailing_index, now,
+                                         _TRAILING)
+        self.trailing[self.stage] = (now, trailing_index)
+        self.sim.call_later(0.0, self.engine._stage_finished)
 
 
 def profile_bubbles(

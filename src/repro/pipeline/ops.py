@@ -19,13 +19,13 @@ class OpKind(enum.Enum):
     BACKWARD = "BP"
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True)
 class Op:
     """One forward or backward pass of one micro-batch at one stage."""
 
     stage: int
     micro_batch: int
-    kind: OpKind = dataclasses.field(compare=True)
+    kind: OpKind
 
     def __str__(self) -> str:
         return f"{self.kind.value}(s{self.stage},m{self.micro_batch})"

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import PipelineError
+from repro.experiments.common import train_config
 from repro.gpu.cluster import make_server_i
 from repro.pipeline.analysis import BubbleType, bubble_rate, bubble_shape_stats
 from repro.pipeline.config import TrainConfig, model_config
 from repro.pipeline.engine import PipelineEngine, profile_bubbles
-from repro.pipeline.instrumentation import BubbleProfile, RecordingListener
+from repro.pipeline.instrumentation import BubbleListener, RecordingListener
 from repro.pipeline.ops import OpKind, dependencies
 from repro.sim.engine import Engine
 
@@ -224,3 +226,53 @@ class TestInstrumentation:
         slowed, _ = run_training(epochs=2, listener=costly, profile=profile)
         increase = slowed.total_time / plain.total_time - 1
         assert 0.0 < increase < 0.03
+
+
+class _HookError(Exception):
+    pass
+
+
+class _RaisingListener(BubbleListener):
+    """Raises from one hook: the second bubble position's start report,
+    the first end report, or the first epoch's end."""
+
+    def __init__(self, hook: str):
+        self.hook = hook
+
+    def on_bubble_start(self, report):
+        if self.hook == "on_bubble_start" and report.index == 1:
+            raise _HookError(self.hook)
+
+    def on_bubble_end(self, stage, now):
+        if self.hook == "on_bubble_end":
+            raise _HookError(self.hook)
+
+    def on_epoch_end(self, epoch, now):
+        if self.hook == "on_epoch_end":
+            raise _HookError(self.hook)
+
+
+class TestErrors:
+    def test_oversized_stage_raises_from_run(self):
+        sim = Engine()
+        config = TrainConfig(model=model_config(40.0), epochs=1)
+        engine = PipelineEngine(sim, make_server_i(sim), config)
+        with pytest.raises(PipelineError, match="stage 0 needs"):
+            engine.run()
+        assert sim.now == 0.0
+
+    @pytest.mark.parametrize("hook, now", [
+        ("on_bubble_start", 5.461529),
+        ("on_bubble_end", 0.216849),
+        ("on_epoch_end", 4.79907),
+    ])
+    def test_hook_exception_surfaces_from_run(self, hook, now):
+        sim = Engine()
+        engine = PipelineEngine(sim, make_server_i(sim),
+                                train_config(epochs=2, seed=1),
+                                listener=_RaisingListener(hook))
+        with pytest.raises(_HookError, match=hook):
+            engine.run()
+        # The instant the hook ran; the event count is not pinned, since
+        # how the failure travels to run() is the engine's business.
+        assert sim.now == pytest.approx(now, abs=1e-6)

@@ -59,6 +59,16 @@ class TestGPipe:
         assert _kinds(order) == "FFFBBB"
 
 
+class TestOp:
+    def test_ops_define_no_order(self):
+        # An order over (stage, micro_batch, kind) would break on the
+        # kind, which has none; a stage runs its ops in schedule order.
+        with pytest.raises(TypeError):
+            sorted([Op(1, 0, OpKind.FORWARD), Op(0, 0, OpKind.FORWARD)])
+        with pytest.raises(TypeError):
+            sorted([Op(0, 0, OpKind.BACKWARD), Op(0, 0, OpKind.FORWARD)])
+
+
 class TestDependencies:
     def test_forward_depends_on_upstream_forward(self):
         deps = dependencies(Op(2, 1, OpKind.FORWARD), num_stages=4)

@@ -8,10 +8,16 @@ while still covering the experiment code paths end to end.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import registry
-from repro.experiments import ablations, fig7
+from repro.experiments import ablations, common, fig7
+from repro.gpu.cluster import make_server_i
+from repro.pipeline.engine import PipelineEngine
+from repro.sim.engine import Engine
+from repro.sim.rng import RandomStreams
 
 
 def test_registry_contains_all_artifacts():
@@ -20,6 +26,27 @@ def test_registry_contains_all_artifacts():
         "ablations", "serve", "cluster", "fairness", "resilience",
         "fuzzcase",
     }
+
+
+@pytest.mark.parametrize("change, expected", [
+    ({}, 9.613017),
+    ({"schedule": "gpipe"}, 9.655424),
+    ({"num_stages": 3}, 8.275080),
+    ({"num_stages": 2}, 6.939439),
+    ({"op_jitter": 0.0}, 9.592800),
+    ({"op_jitter": 0.05}, 9.704346),
+], ids=["default", "gpipe", "3-stages", "2-stages", "no-jitter",
+        "jitter-0.05"])
+def test_baseline_time_is_the_configs_own_training_time(change, expected):
+    config = dataclasses.replace(common.train_config(epochs=2, seed=3),
+                                 **change)
+    sim = Engine()
+    direct = PipelineEngine(
+        sim, make_server_i(sim), config,
+        rng=RandomStreams(config.seed).spawn("pipeline"),
+    ).run().total_time
+    assert common.baseline_time(config) == direct
+    assert direct == pytest.approx(expected, abs=1e-6)
 
 
 def test_fig1_runs_and_renders():
