@@ -10,7 +10,8 @@ Three ways to drive the same thing:
 1. this script (a spec with explicit per-job entries, via `Session`);
 2. the CLI sweep: ``repro run cluster --set jobs=3`` (an int expands to
    N copies of the base training section);
-3. the programmatic builder: ``ClusterBuilder().add_job(...).build()``.
+3. the programmatic pool: ``Cluster([config_a, ClusterJob(config_b)])``
+   (``examples/multi_server.py``).
 
 Run with::
 

@@ -5,7 +5,7 @@ each on its own simulated 4-GPU server, report their bubbles to a single
 shared side-task manager, which spreads eight PageRank side tasks across
 the combined worker pool.
 
-This is the programmatic :class:`~repro.cluster.ClusterBuilder` route;
+This is the programmatic :class:`~repro.cluster.Cluster` route;
 see ``examples/cluster_session.py`` for the declarative spec/Session
 version of the same deployment, and ``repro run cluster`` for the swept
 experiment.
@@ -17,20 +17,17 @@ Run with::
 
 from __future__ import annotations
 
-from repro.cluster import ClusterBuilder
+from repro.cluster import Cluster, ClusterJob
 from repro.pipeline.config import TrainConfig, model_config
 from repro.workloads.registry import workload_factory
 
 
 def main() -> None:
-    cluster = (
-        ClusterBuilder()
-        .add_job(TrainConfig(model=model_config("3.6B"), epochs=6,
-                             op_jitter=0.01))
-        .add_job(TrainConfig(model=model_config("1.2B"), epochs=6,
-                             op_jitter=0.01, seed=1), name="small")
-        .build()
-    )
+    cluster = Cluster([
+        TrainConfig(model=model_config("3.6B"), epochs=6, op_jitter=0.01),
+        ClusterJob(TrainConfig(model=model_config("1.2B"), epochs=6,
+                               op_jitter=0.01, seed=1), name="small"),
+    ])
     accepted = sum(
         1 for _ in range(8)
         if cluster.submit(workload_factory("pagerank")) is not None

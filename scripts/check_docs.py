@@ -15,15 +15,20 @@ Three invariants:
 3. every ``REPRO_*`` environment variable the docs name is read by
    code under ``src/``, ``benchmarks/`` or ``scripts/`` — it appears
    there as a quoted string literal (a documented knob that nothing
-   reads silently does nothing).
+   reads silently does nothing);
+4. every CamelCase name in an inline code span of API.md,
+   ARCHITECTURE.md or README.md is defined — by a ``class``, a ``def``
+   or an assignment — under ``src/``, ``perfbench/``, ``scripts/`` or
+   ``examples/`` (a class the docs send readers to must exist).
 
-Invariants 1 and 3 also run in the tier-1 suite
+Invariants 1, 3 and 4 also run in the tier-1 suite
 (``tests/test_docs.py``); this script adds the slow example-execution
 sweep.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import subprocess
@@ -83,6 +88,59 @@ def check_env_vars_read() -> "list[str]":
     return errors
 
 
+#: documents whose CamelCase code names must be defined by the code
+NAME_DOCS = ("API.md", "ARCHITECTURE.md", "README.md")
+NAME_CODE_DIRS = ("src", "perfbench", "scripts", "examples")
+#: names the docs borrow from libraries and from the paper
+FOREIGN_NAMES = {
+    "ProcessPoolExecutor",  # concurrent.futures
+    "RandomState",  # numpy.random
+    "RunNextStep",  # the paper's imperative-interface call
+}
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _is_camel_case(word: str) -> bool:
+    return (word[0].isupper() and "_" not in word
+            and sum(char.isupper() for char in word) >= 2
+            and any(char.islower() for char in word))
+
+
+def _defined_names() -> "set[str]":
+    names = set()
+    for directory in NAME_CODE_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(
+                        node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Store):
+                    names.add(node.attr)
+    return names
+
+
+def check_names_defined() -> "list[str]":
+    defined = _defined_names() | FOREIGN_NAMES
+    errors = []
+    for doc in NAME_DOCS:
+        spans = CODE_SPAN.findall((REPO / doc).read_text())
+        undefined = sorted({
+            word for span in spans for word in IDENTIFIER.findall(span)
+            if _is_camel_case(word) and word not in defined
+        })
+        if undefined:
+            errors.append(
+                f"{doc} names {undefined}, which nothing under "
+                f"{', '.join(NAME_CODE_DIRS)} defines"
+            )
+    return errors
+
+
 def check_examples_run() -> "list[str]":
     errors = []
     env_path = f"{REPO / 'src'}"
@@ -104,14 +162,16 @@ def check_examples_run() -> "list[str]":
 
 
 def main(argv: "list[str]") -> int:
-    errors = check_scenarios_documented() + check_env_vars_read()
+    errors = (check_scenarios_documented() + check_env_vars_read()
+              + check_names_defined())
     if "--skip-examples" not in argv:
         errors += check_examples_run()
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if not errors:
         print("docs consistent: every scenario documented, "
-              "every documented env var read, every example runs")
+              "every documented env var read, every documented name "
+              "defined, every example runs")
     return 1 if errors else 0
 
 

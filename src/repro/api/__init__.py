@@ -7,7 +7,8 @@ Three layers, smallest surface first:
   JSON-round-trippable data;
 * :mod:`repro.api.session` — :class:`Session` and the :class:`Runner`
   protocol (``configure -> submit -> run -> results``) executing a spec
-  through the batch, serving, pipeline, or cluster backend;
+  through the side-task pool (batch, serving, cluster) or the bare
+  pipeline;
 * :mod:`repro.api.registry` — the experiment registry behind
   ``repro run <scenario>``, with typed rows and uniform JSON/CSV/txt
   artifact export (:mod:`repro.api.results`).
@@ -29,11 +30,9 @@ Quickstart (see API.md for the full tour)::
 from repro.api import registry
 from repro.api.results import ResultRow, ResultSet
 from repro.api.session import (
-    BatchRunner,
-    ClusterRunner,
     PipelineRunner,
+    PoolRunner,
     Runner,
-    ServingRunner,
     Session,
     make_runner,
 )
@@ -53,18 +52,16 @@ from repro.api.spec import (
 
 __all__ = [
     "ArrivalSpec",
-    "BatchRunner",
-    "ClusterRunner",
     "ClusterSpec",
     "JobSpec",
     "MixEntrySpec",
     "PipelineRunner",
     "PolicySpec",
+    "PoolRunner",
     "ResultRow",
     "ResultSet",
     "Runner",
     "ScenarioSpec",
-    "ServingRunner",
     "Session",
     "SweepSpec",
     "TenantSpec",

@@ -8,29 +8,24 @@ through the canonical lifecycle::
     with Session(spec) as session:
         result = session.run().results()
 
-Behind the session sits a :class:`Runner` — the single protocol both of
-the repo's front doors implement:
+Behind the session sits a :class:`Runner`:
 
-* :class:`BatchRunner` — the paper's batch path: build a
-  :class:`~repro.core.middleware.FreeRide`, submit the spec's workloads
-  (replicated or single), run training to completion, report a
-  :class:`~repro.core.middleware.FreeRideResult`;
-* :class:`ServingRunner` — the online path: generate the spec's arrival
-  stream, put the admission frontend in front of ``FreeRide.submit``,
-  and report a :class:`~repro.serving.frontend.ServingResult`;
+* :class:`PoolRunner` — the ``batch``, ``serving`` and ``cluster``
+  kinds: builds the side-task pool (a
+  :class:`~repro.core.middleware.FreeRide`, or for a cluster spec a
+  :class:`~repro.core.middleware.Cluster` over the spec's jobs), then
+  either places the spec's workloads on it or, when the scenario has
+  traffic, admits open-loop requests through the admission frontend.
+  The result type follows the kind:
+  :class:`~repro.core.middleware.FreeRideResult`,
+  :class:`~repro.serving.frontend.ServingResult` or
+  :class:`~repro.core.middleware.ClusterResult`;
 * :class:`PipelineRunner` — training only (no side tasks), for bubble
   characterization scenarios; reports a
-  :class:`~repro.pipeline.engine.TrainingResult`;
-* :class:`ClusterRunner` — several training jobs behind one shared
-  manager (paper section 8): builds a
-  :class:`~repro.cluster.builder.Cluster`, places the spec's shared
-  workload mix across the combined pool (or, when the spec has an
-  ``arrivals`` section, admits open-loop traffic against it), and
-  reports a :class:`~repro.cluster.result.ClusterResult`.
+  :class:`~repro.pipeline.engine.TrainingResult`.
 
-The programmatic facades (`FreeRide(...)` driven by hand,
-:func:`repro.serving.frontend.run_serving`, ``ClusterBuilder``) remain
-supported and delegate to / interoperate with these runners.
+The programmatic facades (``FreeRide`` and ``Cluster`` driven by hand,
+:func:`repro.serving.frontend.run_serving`) build the same pool.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import dataclasses
 import typing
 
 from repro.api.spec import ScenarioSpec, WorkloadSpec
-from repro.core.middleware import FreeRide, FreeRideResult
+from repro.core.middleware import Cluster, ClusterJob, FreeRide
 from repro.errors import SessionError, SpecError
 from repro.obs import attach_tracer
 from repro.pipeline.engine import PipelineEngine, TrainingResult
@@ -50,7 +45,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.export import TraceResult
     from repro.pipeline.config import TrainConfig
     from repro.serving.arrivals import ArrivalProcess
-    from repro.serving.frontend import AdmissionPolicy, ServingResult
+    from repro.serving.frontend import AdmissionPolicy
     from repro.serving.slo import QueueDiscipline
 
 #: default post-training settle window before the final drain
@@ -75,55 +70,220 @@ class Runner(typing.Protocol):
         """Execute to completion and return the result object."""
 
 
-class BatchRunner:
-    """The batch path: FreeRide + the spec's fixed submissions."""
+class PoolRunner:
+    """A batch, serving or cluster scenario over one side-task pool.
 
-    kind = "batch"
+    Construction is spec-driven; the keyword overrides exist for the
+    :func:`~repro.serving.frontend.run_serving` facade and for
+    programmatic callers injecting policy *objects* or a trace-replay
+    arrival process that a JSON spec cannot name. ``config`` replaces
+    the spec's training section; a cluster spec trains its jobs'
+    configs and refuses it.
+    """
 
-    def __init__(self, spec: ScenarioSpec, *,
-                 config: "TrainConfig | None" = None):
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        *,
+        config: "TrainConfig | None" = None,
+        arrivals: "ArrivalProcess | None" = None,
+        admission: "AdmissionPolicy | None" = None,
+        policy: "AssignmentPolicy | None" = None,
+        discipline: "QueueDiscipline | None" = None,
+        horizon_s: "float | None" = None,
+    ):
+        if config is not None and spec.kind == "cluster":
+            raise TypeError(
+                "config= replaces a batch or serving scenario's training; "
+                "a cluster scenario trains its jobs' configs"
+            )
         self.spec = spec
-        self.config = config if config is not None else spec.train_config()
-        self.freeride: "FreeRide | None" = None
-        self.result: "FreeRideResult | None" = None
+        self.kind = spec.kind
+        #: the training config of each job
+        self.configs: "list[TrainConfig]" = (
+            spec.job_configs() if spec.kind == "cluster"
+            else [config if config is not None else spec.train_config()]
+        )
+        self._arrivals = arrivals
+        self._admission = admission
+        self._policy = policy
+        self._discipline = discipline
+        self._horizon_s = horizon_s
+        self.pool: "Cluster | None" = None
+        self.frontend = None
+        self.injector = None
+        self.result = None
         self.trace_result: "TraceResult | None" = None
 
-    def prepare(self) -> None:
-        if self.freeride is not None:
-            return
-        self.freeride = FreeRide(
-            self.config,
-            server_factory=self.spec.cluster.factory(),
-            seed=self.spec.seed,
-            **self.spec.policy.freeride_kwargs(),
+    @property
+    def freeride(self) -> "Cluster | None":
+        """The pool: a :class:`FreeRide` unless the spec is a cluster."""
+        return self.pool
+
+    cluster = freeride
+
+    @staticmethod
+    def serves_traffic(spec: ScenarioSpec,
+                       arrivals: "ArrivalProcess | None" = None) -> bool:
+        """Whether a run of ``spec`` admits open-loop requests instead of
+        placing the spec's workloads: a serving or cluster spec with an
+        arrivals section, tenants, or an ``arrivals`` process handed to
+        the runner (a trace replay, say). A batch spec never does."""
+        return spec.kind != "batch" and (
+            arrivals is not None or spec.arrivals is not None
+            or bool(spec.tenants)
         )
-        # Attach before placing workloads so the runtimes' state
-        # machines see tracing enabled at construction.
-        attach_tracer(self.freeride.sim, self.spec.obs)
-        for workload in self.spec.workloads:
-            self._place(workload)
+
+    def horizon_s(self) -> float:
+        """Seconds the pool accepts traffic — arrivals stop before
+        teardown so late requests are not counted as offered load.
+
+        Priority: the constructor's ``horizon_s``, then
+        ``params.horizon_s``, then ``params.open_fraction`` (default
+        :data:`DEFAULT_OPEN_FRACTION`) of the *longest* job's
+        no-side-task training time, since the pool keeps producing
+        bubbles until the last job finishes.
+        """
+        if self._horizon_s is not None:
+            return self._horizon_s
+        horizon = self.spec.param("horizon_s")
+        if horizon is not None:
+            return float(horizon)
+        from repro.experiments.common import baseline_time
+
+        fraction = float(self.spec.param("open_fraction",
+                                         DEFAULT_OPEN_FRACTION))
+        return max(baseline_time(config) for config in self.configs) * fraction
+
+    def prepare(self) -> None:
+        if self.pool is not None:
+            return
+        spec = self.spec
+        traffic = self.serves_traffic(spec, self._arrivals)
+        if spec.kind == "serving" and not traffic:
+            raise SpecError(
+                f"serving scenario {spec.name!r} has no arrivals "
+                "section and no tenants"
+            )
+        kwargs = spec.policy.freeride_kwargs()
+        if self._policy is not None:
+            kwargs["policy"] = self._policy
+        if spec.kind == "cluster":
+            jobs = [ClusterJob(config, job.cluster.factory(), job.name)
+                    for job, config in zip(spec.job_specs(), self.configs)]
+            self.pool = Cluster(jobs, seed=spec.seed, **kwargs)
+        else:
+            self.pool = FreeRide(self.configs[0],
+                                 server_factory=spec.cluster.factory(),
+                                 seed=spec.seed, **kwargs)
+        # Attach before the frontend and the workloads: the frontend and
+        # the runtimes' state machines capture ``sim.trace`` when built.
+        attach_tracer(self.pool.sim, spec.obs)
+        if traffic:
+            self._open_frontend()
+        else:
+            for workload in spec.workloads:
+                self._place(workload)
+        if spec.faults is not None and spec.faults.active:
+            from repro.faults import FaultInjector
+
+            self.injector = FaultInjector(spec.faults.build_plan(
+                spec.seed, self.horizon_s(), len(self.pool.workers)))
+            self.injector.arm(self.pool)
+
+    def _open_frontend(self) -> None:
+        """Put the admission frontend in front of the pool, fed with the
+        arrivals of the open window: the constructor's process, the
+        tenants' merged streams, or the spec's ``arrivals`` section."""
+        from repro.serving.frontend import ServingFrontend
+
+        spec = self.spec
+        if self._arrivals is not None:
+            arrivals = self._arrivals
+        elif spec.tenants:
+            arrivals = spec.tenant_arrivals()
+        else:
+            arrivals = spec.arrivals.build(spec.seed)
+        self._open_horizon = self.horizon_s()
+        recovery = {} if spec.faults is None else {
+            "retry": spec.faults.retry_policy(),
+            "checkpoint": spec.faults.checkpoint_policy(),
+        }
+        self.frontend = ServingFrontend(
+            self.pool,
+            arrivals.generate(self._open_horizon),
+            admission=(self._admission if self._admission is not None
+                       else spec.policy.admission),
+            discipline=(self._discipline if self._discipline is not None
+                        else spec.policy.discipline),
+            queue_capacity=spec.policy.queue_capacity,
+            tenants=spec.tenant_shares(),
+            metrics_mode=spec.metrics.mode,
+            **recovery,
+        )
 
     def submit(self, workload: WorkloadSpec) -> int:
         """Submit one extra workload; returns the number of copies placed."""
         self.prepare()
+        if self.frontend is not None:
+            raise SessionError(
+                f"{self.kind} scenario serves open-loop traffic; its work "
+                "comes from the arrivals section, not submit()"
+            )
         return self._place(workload)
 
     def _place(self, workload: WorkloadSpec) -> int:
         if workload.replicate:
-            return self.freeride.submit_replicated(
+            return self.pool.submit_replicated(
                 workload.factory(), workload.interface, copies=workload.copies
             )
-        accepted = self.freeride.submit(workload.factory(), workload.interface)
+        accepted = self.pool.submit(workload.factory(), workload.interface)
         return 0 if accepted is None else 1
 
-    def run(self) -> FreeRideResult:
+    def run(self):
         self.prepare()
-        settle_s = self.spec.param("settle_s", DEFAULT_SETTLE_S)
-        self.result = self.freeride.run(settle_s=settle_s)
-        self.trace_result = _finish_trace(
-            self.freeride.sim, self.spec,
-            [("train", self.result.training.trace)],
-        )
+        pool, frontend, spec = self.pool, self.frontend, self.spec
+        settle_s = spec.param("settle_s", DEFAULT_SETTLE_S)
+        trainings = pool.run_training()
+        fields: dict = {}
+        if frontend is None:
+            pool.drain(settle_s)
+            resilience_args: dict = {"duration_s": pool.sim.now}
+        else:
+            frontend.close()
+            open_s = min(frontend.closed_at, self._open_horizon)
+            # The drain also fires, and refuses, late arrivals.
+            pool.drain(settle_s)
+            frontend.finalize()
+            metrics = frontend.metrics_for(open_s)
+            fields = {
+                "records": frontend.records,
+                "metrics": metrics,
+                "open_duration_s": open_s,
+                "fairness": (frontend.fairness_for(open_s)
+                             if frontend.tenants else None),
+            }
+            resilience_args = {
+                "records": frontend.records,
+                "duration_s": open_s,
+                "goodput_rps": metrics.goodput_rps,
+                "request_counts": frontend.outcome_counts,
+            }
+        if spec.faults is not None:
+            from repro.metrics.resilience import resilience_metrics
+
+            fields["resilience"] = resilience_metrics(pool, **resilience_args)
+        self.trace_result = _finish_trace(pool.sim, spec, [
+            (label, pipeline.trace)
+            for (label, _offset, _stages), pipeline
+            in zip(pool.layout, pool.pipelines)
+        ])
+        if spec.kind == "serving":
+            from repro.serving.frontend import ServingResult
+
+            self.result = ServingResult(training=trainings, **fields)
+        else:
+            self.result = pool.result(trainings, **fields)
         self.result.trace = self.trace_result
         return self.result
 
@@ -163,83 +323,6 @@ class PipelineRunner:
         return self.result
 
 
-def _open_horizon(spec: ScenarioSpec, explicit: "float | None",
-                  default_baseline_s: "typing.Callable[[], float]") -> float:
-    """Seconds a serving-mode runner accepts traffic.
-
-    Priority: the runner's constructor override, then
-    ``params.horizon_s``, then ``params.open_fraction`` (default
-    :data:`DEFAULT_OPEN_FRACTION`) of ``default_baseline_s()`` — the
-    runner's notion of the no-side-task training time.
-    """
-    if explicit is not None:
-        return explicit
-    horizon = spec.param("horizon_s")
-    if horizon is not None:
-        return float(horizon)
-    fraction = float(spec.param("open_fraction", DEFAULT_OPEN_FRACTION))
-    return default_baseline_s() * fraction
-
-
-def _resolve_arrivals(spec: ScenarioSpec, explicit) -> "ArrivalProcess":
-    """The arrival stream a serving-mode runner admits: the runner's
-    constructor override, the merged per-tenant streams of a tenant
-    scenario, or the spec's ``arrivals`` section."""
-    if explicit is not None:
-        return explicit
-    if spec.tenants:
-        return spec.tenant_arrivals()
-    return spec.arrivals.build(spec.seed)
-
-
-def _recovery_kwargs(spec: ScenarioSpec) -> dict:
-    """The frontend's retry/checkpoint policies, from the faults section
-    (empty when the scenario has none)."""
-    if spec.faults is None:
-        return {}
-    return {
-        "retry": spec.faults.retry_policy(),
-        "checkpoint": spec.faults.checkpoint_policy(),
-    }
-
-
-def _arm_faults(spec: ScenarioSpec, pool, horizon_s: float):
-    """Arm the spec's fault plan against ``pool``; returns the injector
-    (None when the spec injects nothing)."""
-    if spec.faults is None or not spec.faults.active:
-        return None
-    from repro.faults import FaultInjector
-
-    plan = spec.faults.build_plan(spec.seed, horizon_s, len(pool.workers))
-    injector = FaultInjector(plan)
-    injector.arm(pool)
-    return injector
-
-
-def _finish_serving(frontend, drain, open_horizon: float,
-                    settle_s: float) -> "tuple[float, object, object]":
-    """The canonical serving teardown, shared by every serving-mode
-    runner: close the frontend, account the open window, drain (which
-    also fires — and refuses — late arrivals), back-fill the records.
-
-    Returns ``(open_duration_s, metrics, fairness)`` — ``fairness`` is
-    the per-tenant accounting when the frontend served tenants, else
-    None. The folds go through the frontend, which answers from
-    retained records (default) or from its streaming accumulators
-    (``metrics.mode = streaming``) — identical counter semantics either
-    way.
-    """
-    frontend.close()
-    open_duration_s = min(frontend.closed_at, open_horizon)
-    drain(settle_s)
-    frontend.finalize()
-    metrics = frontend.metrics_for(open_duration_s)
-    fairness = None
-    if frontend.tenants:
-        fairness = frontend.fairness_for(open_duration_s)
-    return open_duration_s, metrics, fairness
-
-
 def _finish_trace(sim, spec: ScenarioSpec,
                   trainings=()) -> "TraceResult | None":
     """Collect the run's trace (None when tracing was off).
@@ -261,288 +344,11 @@ def _finish_trace(sim, spec: ScenarioSpec,
     return collect_trace(sim)
 
 
-class ServingRunner:
-    """The online path: arrivals -> admission frontend -> FreeRide.
-
-    Construction is spec-driven; the keyword overrides exist for the
-    :func:`~repro.serving.frontend.run_serving` facade and for
-    programmatic callers injecting policy *objects* or a trace-replay
-    arrival process that a JSON spec cannot name.
-    """
-
-    kind = "serving"
-
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        *,
-        config: "TrainConfig | None" = None,
-        arrivals: "ArrivalProcess | None" = None,
-        admission: "AdmissionPolicy | None" = None,
-        policy: "AssignmentPolicy | None" = None,
-        discipline: "QueueDiscipline | None" = None,
-        horizon_s: "float | None" = None,
-    ):
-        self.spec = spec
-        self.config = config if config is not None else spec.train_config()
-        self._arrivals = arrivals
-        self._admission = admission
-        self._policy = policy
-        self._discipline = discipline
-        self._horizon_s = horizon_s
-        self.freeride: "FreeRide | None" = None
-        self.frontend = None
-        self.injector = None
-        self.result: "ServingResult | None" = None
-        self.trace_result: "TraceResult | None" = None
-
-    def horizon_s(self) -> float:
-        """Seconds the service accepts traffic — arrivals stop before
-        teardown so late requests are not counted as offered load (see
-        :func:`_open_horizon` for the resolution order)."""
-        from repro.experiments.common import baseline_time
-
-        return _open_horizon(self.spec, self._horizon_s,
-                             lambda: baseline_time(self.config))
-
-    def prepare(self) -> None:
-        if self.freeride is not None:
-            return
-        if (self._arrivals is None and self.spec.arrivals is None
-                and not self.spec.tenants):
-            raise SpecError(
-                f"serving scenario {self.spec.name!r} has no arrivals "
-                "section and no tenants"
-            )
-        from repro.serving.frontend import ServingFrontend
-
-        kwargs = self.spec.policy.freeride_kwargs()
-        if self._policy is not None:
-            kwargs["policy"] = self._policy
-        self.freeride = FreeRide(
-            self.config,
-            server_factory=self.spec.cluster.factory(),
-            seed=self.spec.seed,
-            **kwargs,
-        )
-        # Attach before the frontend is built: it captures ``sim.trace``
-        # (and installs the discipline's tracer) at construction.
-        attach_tracer(self.freeride.sim, self.spec.obs)
-        arrivals = _resolve_arrivals(self.spec, self._arrivals)
-        self._open_horizon = self.horizon_s()
-        requests = arrivals.generate(self._open_horizon)
-        self.frontend = ServingFrontend(
-            self.freeride,
-            requests,
-            admission=(self._admission if self._admission is not None
-                       else self.spec.policy.admission),
-            discipline=(self._discipline if self._discipline is not None
-                        else self.spec.policy.discipline),
-            queue_capacity=self.spec.policy.queue_capacity,
-            tenants=self.spec.tenant_shares(),
-            metrics_mode=self.spec.metrics.mode,
-            **_recovery_kwargs(self.spec),
-        )
-        self.injector = _arm_faults(
-            self.spec, self.freeride, self._open_horizon
-        )
-
-    def run(self) -> "ServingResult":
-        from repro.serving.frontend import ServingResult
-
-        self.prepare()
-        training = self.freeride.run_training()
-        open_duration_s, metrics, fairness = _finish_serving(
-            self.frontend, self.freeride.drain, self._open_horizon,
-            self.spec.param("settle_s", DEFAULT_SETTLE_S),
-        )
-        resilience = None
-        if self.spec.faults is not None:
-            from repro.metrics.resilience import resilience_metrics
-
-            resilience = resilience_metrics(
-                self.freeride, self.frontend.records,
-                duration_s=open_duration_s,
-                goodput_rps=metrics.goodput_rps,
-                request_counts=self.frontend.outcome_counts,
-            )
-        self.trace_result = _finish_trace(
-            self.freeride.sim, self.spec, [("train", training.trace)]
-        )
-        self.result = ServingResult(
-            training=training,
-            records=self.frontend.records,
-            metrics=metrics,
-            open_duration_s=open_duration_s,
-            fairness=fairness,
-            resilience=resilience,
-            trace=self.trace_result,
-        )
-        return self.result
-
-
-class ClusterRunner:
-    """Several training jobs, one shared manager, the combined pool.
-
-    Batch mode (no ``arrivals`` section): the spec's ``workloads`` are
-    the shared mix, placed across the combined worker pool exactly like
-    :class:`BatchRunner` places them on a single job. Serving mode
-    (``arrivals`` present): the admission frontend sits in front of the
-    cluster's manager and open-loop traffic is admitted against the
-    combined pool, with job-aware admission (``per_job_token_bucket``)
-    sized by the job count. Either way the result is a
-    :class:`~repro.cluster.result.ClusterResult`.
-    """
-
-    kind = "cluster"
-
-    def __init__(self, spec: ScenarioSpec, *,
-                 arrivals: "ArrivalProcess | None" = None,
-                 admission: "AdmissionPolicy | None" = None,
-                 horizon_s: "float | None" = None):
-        self.spec = spec
-        self._arrivals = arrivals
-        self._admission = admission
-        self._horizon_s = horizon_s
-        self.cluster = None
-        self.frontend = None
-        self.injector = None
-        self.result = None
-        self.trace_result: "TraceResult | None" = None
-
-    def horizon_s(self) -> float:
-        """Seconds the cluster accepts traffic (serving mode): the
-        default baseline is the *longest* job's no-side-task training
-        time, since the combined pool keeps producing bubbles until the
-        last job finishes (resolution order in :func:`_open_horizon`)."""
-        from repro.experiments.common import baseline_time
-
-        return _open_horizon(
-            self.spec, self._horizon_s,
-            lambda: max(baseline_time(config)
-                        for config in self.spec.job_configs()),
-        )
-
-    def prepare(self) -> None:
-        if self.cluster is not None:
-            return
-        from repro.cluster import Cluster, ClusterJob
-
-        jobs = [
-            ClusterJob(
-                config=config,
-                server_factory=job.cluster.factory(),
-                name=job.name or f"job{index}",
-            )
-            for index, (job, config) in enumerate(
-                zip(self.spec.job_specs(), self.spec.job_configs())
-            )
-        ]
-        self.cluster = Cluster(
-            jobs,
-            seed=self.spec.seed,
-            **self.spec.policy.freeride_kwargs(),
-        )
-        attach_tracer(self.cluster.sim, self.spec.obs)
-        if (self._arrivals is not None or self.spec.arrivals is not None
-                or self.spec.tenants):
-            from repro.serving.frontend import ServingFrontend
-
-            arrivals = _resolve_arrivals(self.spec, self._arrivals)
-            self._open_horizon = self.horizon_s()
-            requests = arrivals.generate(self._open_horizon)
-            self.frontend = ServingFrontend(
-                self.cluster,
-                requests,
-                admission=(self._admission if self._admission is not None
-                           else self.spec.policy.admission),
-                discipline=self.spec.policy.discipline,
-                queue_capacity=self.spec.policy.queue_capacity,
-                jobs=self.cluster.num_jobs,
-                tenants=self.spec.tenant_shares(),
-                metrics_mode=self.spec.metrics.mode,
-                **_recovery_kwargs(self.spec),
-            )
-            self.injector = _arm_faults(
-                self.spec, self.cluster, self._open_horizon
-            )
-        else:
-            for workload in self.spec.workloads:
-                self._place(workload)
-            if self.spec.faults is not None and self.spec.faults.active:
-                self.injector = _arm_faults(
-                    self.spec, self.cluster, self.horizon_s()
-                )
-
-    def submit(self, workload: WorkloadSpec) -> int:
-        """Submit one extra shared workload; returns the copies placed."""
-        self.prepare()
-        if self.frontend is not None:
-            raise SessionError(
-                "cluster scenario serves open-loop traffic; its work "
-                "comes from the arrivals section, not submit()"
-            )
-        return self._place(workload)
-
-    def _place(self, workload: WorkloadSpec) -> int:
-        if workload.replicate:
-            return self.cluster.submit_replicated(
-                workload.factory(), workload.interface, copies=workload.copies
-            )
-        accepted = self.cluster.submit(workload.factory(), workload.interface)
-        return 0 if accepted is None else 1
-
-    def run(self):
-        self.prepare()
-        settle_s = self.spec.param("settle_s", DEFAULT_SETTLE_S)
-        if self.frontend is None:
-            self.result = self.cluster.run(settle_s=settle_s)
-            if self.spec.faults is not None:
-                from repro.metrics.resilience import resilience_metrics
-
-                self.result.resilience = resilience_metrics(
-                    self.cluster, duration_s=self.cluster.sim.now,
-                )
-            self.trace_result = _finish_trace(
-                self.cluster.sim, self.spec, self._job_traces(self.result)
-            )
-            self.result.trace = self.trace_result
-            return self.result
-        trainings = self.cluster.run_training()
-        open_duration_s, metrics, fairness = _finish_serving(
-            self.frontend, self.cluster.drain, self._open_horizon, settle_s,
-        )
-        self.result = self.cluster.result(trainings)
-        self.result.records = self.frontend.records
-        self.result.metrics = metrics
-        self.result.open_duration_s = open_duration_s
-        self.result.fairness = fairness
-        if self.spec.faults is not None:
-            from repro.metrics.resilience import resilience_metrics
-
-            self.result.resilience = resilience_metrics(
-                self.cluster, self.frontend.records,
-                duration_s=open_duration_s,
-                goodput_rps=metrics.goodput_rps,
-                request_counts=self.frontend.outcome_counts,
-            )
-        self.trace_result = _finish_trace(
-            self.cluster.sim, self.spec, self._job_traces(self.result)
-        )
-        self.result.trace = self.trace_result
-        return self.result
-
-    @staticmethod
-    def _job_traces(result) -> "list[tuple[str, object]]":
-        """One pipeline-span track group per job, keyed by job name."""
-        return [(job.name, job.training.trace) for job in result.jobs]
-
-
 _RUNNERS: "dict[str, type]" = {
-    "batch": BatchRunner,
-    "serving": ServingRunner,
+    "batch": PoolRunner,
+    "serving": PoolRunner,
     "pipeline": PipelineRunner,
-    "cluster": ClusterRunner,
+    "cluster": PoolRunner,
 }
 
 
@@ -611,16 +417,10 @@ class Session:
             workload = WorkloadSpec(name=workload, **fields)
         elif fields:
             workload = dataclasses.replace(workload, **fields)
-        batch_like = self.spec.kind == "batch" or (
-            self.spec.kind == "cluster"
-            and self.spec.arrivals is None
-            and not self.spec.tenants
-            # an arrival process handed to the runner directly (e.g.
-            # trace replay) puts the cluster in serving mode just as a
-            # spec-level arrivals section would
-            and self._runner_kwargs.get("arrivals") is None
-        )
-        if not batch_like:
+        takes_workloads = self.spec.kind in ("batch", "cluster") and not (
+            PoolRunner.serves_traffic(self.spec,
+                                      self._runner_kwargs.get("arrivals")))
+        if not takes_workloads:
             raise SessionError(
                 f"submit() extends batch-style scenarios; {self.spec.kind!r} "
                 "scenarios take their work from the spec (arrivals/mix)"

@@ -91,29 +91,20 @@ class SpecBase:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class ClusterSpec(SpecBase):
-    """Which simulated server runs the scenario."""
+    """The simulated server that runs the scenario: Server I, the
+    paper's 4-GPU training testbed (every pipeline needs a GPU per
+    stage)."""
 
-    #: "server_i" (the 4-GPU training testbed), "server_ii", or "cpu"
-    server: str = "server_i"
     #: record per-GPU SM occupancy traces (off by default: it is the
     #: single hottest allocation in long runs; Figures 1 and 8 opt in)
     record_occupancy: bool = False
 
     def factory(self) -> "typing.Callable[[Engine], Server]":
-        from repro.gpu.cluster import make_server_cpu, make_server_i, make_server_ii
+        from repro.gpu.cluster import make_server_i
 
-        if self.server == "server_i":
-            if self.record_occupancy:
-                return functools.partial(make_server_i, record_occupancy=True)
-            return make_server_i
-        if self.server == "server_ii":
-            return make_server_ii
-        if self.server == "cpu":
-            return make_server_cpu
-        raise SpecError(
-            f"unknown server {self.server!r}; "
-            "choose from ['cpu', 'server_i', 'server_ii']"
-        )
+        if self.record_occupancy:
+            return functools.partial(make_server_i, record_occupancy=True)
+        return make_server_i
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,10 +214,10 @@ class WorkloadSpec(SpecBase):
 class JobSpec(SpecBase):
     """One training job of a ``kind="cluster"`` scenario.
 
-    Pairs a per-job cluster (which server) with a per-job training
-    config. The scenario's root ``seed`` still feeds every stream; job
-    *i* trains with ``seed + i`` so identical job specs produce distinct
-    (but fully deterministic) bubble patterns.
+    Pairs a per-job cluster (its server's settings) with a per-job
+    training config. The scenario's root ``seed`` still feeds every
+    stream; job *i* trains with ``seed + i`` so identical job specs
+    produce distinct (but fully deterministic) bubble patterns.
     """
 
     cluster: ClusterSpec = dataclasses.field(default_factory=ClusterSpec)

@@ -1,30 +1,24 @@
 """Multi-job cluster deployments: one shared manager, many training jobs.
 
-The paper's section-8 scalability extension as a first-class subsystem:
-
-* :mod:`repro.cluster.jobs` — :class:`ClusterJob`, one training job
-  (config + server factory + label);
-* :mod:`repro.cluster.builder` — :class:`ClusterBuilder` and
-  :class:`Cluster`: per-job engines and instrumentation composed into a
-  single shared :class:`~repro.core.manager.SideTaskManager` over the
-  combined worker pool;
-* :mod:`repro.cluster.result` — :class:`ClusterResult` /
-  :class:`JobResult`, including cluster-wide bubble utilization.
+The paper's section-8 scalability extension. A :class:`Cluster` runs
+each :class:`ClusterJob` on its own simulated server and puts every
+job's workers behind a single shared
+:class:`~repro.core.manager.SideTaskManager`, so Algorithm 1 places
+side tasks across the combined pool; a :class:`ClusterResult` reports
+each job's training (:class:`JobResult`), the side tasks and the
+cluster-wide bubble utilization. The pool lives in
+:mod:`repro.core.middleware`, where :class:`~repro.core.middleware.FreeRide`
+is its one-job case.
 
 Declarative use goes through the scenario API: a ``kind="cluster"``
-:class:`~repro.api.spec.ScenarioSpec` executed by
-:class:`~repro.api.session.ClusterRunner` (``repro run cluster``).
+:class:`~repro.api.spec.ScenarioSpec` (``repro run cluster``).
 """
 
-from repro.cluster.builder import Cluster, ClusterBuilder
-from repro.cluster.jobs import ClusterJob, as_jobs
-from repro.cluster.result import ClusterResult, JobResult
+from repro.core.middleware import Cluster, ClusterJob, ClusterResult, JobResult
 
 __all__ = [
     "Cluster",
-    "ClusterBuilder",
     "ClusterJob",
     "ClusterResult",
     "JobResult",
-    "as_jobs",
 ]

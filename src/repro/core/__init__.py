@@ -10,8 +10,9 @@
   (section 4.3);
 * :mod:`repro.core.manager` / :mod:`repro.core.worker` — Algorithms 1
   and 2, plus the framework-enforced kill mechanism (sections 4.4, 4.5);
-* :mod:`repro.core.middleware` — the :class:`FreeRide` facade wiring
-  instrumented pipeline training to the side-task manager (Figure 3).
+* :mod:`repro.core.middleware` — the side-task pool wiring instrumented
+  pipeline training to the side-task manager (Figure 3): ``Cluster``
+  for many jobs (section 8) and :class:`FreeRide`, its one-job case.
 """
 
 from repro.core.interfaces import (

@@ -1,16 +1,22 @@
-"""The FreeRide facade: Figure 3 of the paper, end to end.
+"""The FreeRide middleware: Figure 3 of the paper, end to end.
 
-``FreeRide`` wires together
+A :class:`Cluster` wires together, for each of its training jobs,
 
-1. an **offline bubble profile** of the training job (section 4.3),
+1. an **offline bubble profile** of the job (section 4.3),
 2. the **instrumented pipeline engine**, whose bubble reports travel to
    the manager over RPC (step 5 of Figure 3),
 3. one **side-task worker per GPU** sized by its stage's bubble memory,
-4. the **side-task manager** running Algorithms 1 and 2.
 
-``FreeRide`` remains the supported programmatic facade; declarative
-code drives it through the session API (:mod:`repro.api`), which
-wraps this class behind the ``Runner`` protocol::
+and puts every job's workers behind one **side-task manager** running
+Algorithms 1 and 2. Section 8 places many servers behind that same
+manager; :class:`FreeRide`, the paper's deployment, is the one-job pool.
+
+Workers are numbered across the pool: job *i*'s stage *s* is worker
+``offset_i + s``, which is how the manager keys them and how each job's
+instrumentation reports its bubbles.
+
+Declarative code drives the pool through the session API
+(:mod:`repro.api`)::
 
     from repro.api import ScenarioSpec, Session
 
@@ -22,11 +28,15 @@ wraps this class behind the ``Runner`` protocol::
         result = session.run().results()
     print(result.tasks[0].units_done, result.training.total_time)
 
-Direct use — still exercised by the unit tests::
+Direct use::
 
     freeride = FreeRide(train_config)
     freeride.submit(lambda: PageRankTask(), interface="iterative")
-    result = freeride.run()
+    result = freeride.run()            # -> FreeRideResult
+
+    cluster = Cluster([config_a, ClusterJob(config_b, name="small")])
+    cluster.submit_replicated(workload_factory("pagerank"))
+    result = cluster.run()             # -> ClusterResult
 """
 
 from __future__ import annotations
@@ -59,25 +69,49 @@ from repro.sim.rng import RandomStreams
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.interfaces import ImperativeSideTask, IterativeSideTask
     from repro.faults.checkpoint import CheckpointPolicy
+    from repro.metrics.fairness import FairnessMetrics
+    from repro.metrics.latency import ServingMetrics
+    from repro.metrics.resilience import ResilienceMetrics
     from repro.obs.export import TraceResult
+    from repro.serving.frontend import RequestRecord
 
 WorkloadFactory = typing.Callable[[], "IterativeSideTask | ImperativeSideTask"]
+ServerFactory = typing.Callable[[Engine], Server]
+
+
+@dataclasses.dataclass(frozen=True)
+class ClusterJob:
+    """One pipeline-training job of a pool."""
+
+    config: TrainConfig
+    #: builds the job's own simulated server inside the pool's engine
+    server_factory: ServerFactory = make_server_i
+    #: display label; empty = "job<index>"
+    name: str = ""
+
+    def label(self, index: int) -> str:
+        return self.name or f"job{index}"
 
 
 class _ManagerListener(BubbleListener):
-    """Forwards instrumentation reports to the manager over RPC."""
+    """Forwards one job's instrumentation reports to the manager over RPC.
+
+    The job reports bubbles by its own stage numbers; the manager keys
+    workers by their index in the pool, so every report is shifted by
+    the job's first worker index.
+    """
 
     def __init__(self, sim: Engine, manager: SideTaskManager,
-                 memory: MemoryModel, hook_cost_s: float,
-                 rpc_latency_s: float):
+                 hook_cost_s: float, rpc_latency_s: float,
+                 stage_offset: int = 0):
         self.hook_cost_s = hook_cost_s
         self.manager = manager
-        self.memory = memory
+        self.stage_offset = stage_offset
         self.rpc = RpcChannel(sim, "instrumentation", latency_s=rpc_latency_s)
 
     def on_bubble_start(self, report: BubbleStart) -> None:
         bubble = ManagedBubble(
-            stage=report.stage,
+            stage=report.stage + self.stage_offset,
             start=report.start,
             expected_end=report.expected_end,
             available_gb=report.available_gb,
@@ -85,7 +119,8 @@ class _ManagerListener(BubbleListener):
         self.rpc.cast(self.manager.add_bubble, bubble)
 
     def on_bubble_end(self, stage: int, now: float) -> None:
-        self.rpc.cast(self.manager.bubble_ended, stage, now)
+        self.rpc.cast(self.manager.bubble_ended, stage + self.stage_offset,
+                      now)
 
 
 @dataclasses.dataclass
@@ -94,6 +129,7 @@ class TaskReport:
 
     name: str
     interface: str
+    #: the worker's index in the pool
     stage: int
     final_state: SideTaskState
     failure: str | None
@@ -115,16 +151,10 @@ class TaskReport:
     step_failures: int = 0
 
 
-@dataclasses.dataclass
-class FreeRideResult:
-    """Outcome of one FreeRide serving run."""
+class _TaskTotals:
+    """Lookups and sums over a result's ``tasks``."""
 
-    training: TrainingResult
     tasks: list[TaskReport]
-    rejections: list[tuple[str, str]]
-    bubble_profile: BubbleProfile
-    #: structured span trace; set when the scenario enabled ``obs.trace``
-    trace: "TraceResult | None" = None
 
     def task(self, name: str) -> TaskReport:
         for report in self.tasks:
@@ -141,21 +171,185 @@ class FreeRideResult:
         return sum(report.steps_done for report in self.tasks)
 
 
-class SideTaskPool:
-    """Shared submission/teardown surface over a managed worker pool.
+@dataclasses.dataclass
+class FreeRideResult(_TaskTotals):
+    """Outcome of one FreeRide run."""
 
-    Everything that only needs ``sim``/``manager``/``workers`` and the
-    ``_submissions`` ledger lives here, so the single-job
-    :class:`FreeRide` and the multi-job
-    :class:`~repro.cluster.builder.Cluster` stay byte-for-byte
-    identical in how they name, place, account, and tear down side
-    tasks (the serving frontend relies on exactly this surface).
+    training: TrainingResult
+    tasks: list[TaskReport]
+    rejections: list[tuple[str, str]]
+    bubble_profile: BubbleProfile
+    #: structured span trace; set when the scenario enabled ``obs.trace``
+    trace: "TraceResult | None" = None
+
+
+@dataclasses.dataclass
+class JobResult:
+    """One training job's share of a cluster run."""
+
+    name: str
+    training: TrainingResult
+    #: this job's first worker index (its stage 0)
+    stage_offset: int
+    num_stages: int
+    #: side-task reports whose worker belongs to this job
+    tasks: "list[TaskReport]" = dataclasses.field(default_factory=list)
+
+    @property
+    def bubble_time_s(self) -> float:
+        """Total bubble seconds this job's training produced."""
+        return sum(
+            bubble.duration for bubble in self.training.trace.bubbles
+        )
+
+    @property
+    def harvested_s(self) -> float:
+        """Side-task running seconds on this job's workers."""
+        return sum(report.running_s for report in self.tasks)
+
+    @property
+    def utilization(self) -> float:
+        """Fraction of this job's bubble time spent running side tasks."""
+        bubble_s = self.bubble_time_s
+        return self.harvested_s / bubble_s if bubble_s > 0 else 0.0
+
+
+@dataclasses.dataclass
+class ClusterResult(_TaskTotals):
+    """Outcome of one cluster run.
+
+    Utilization is the cluster's headline number: of all the bubble
+    seconds the jobs produced, how many were spent running side tasks.
     """
 
-    sim: Engine
-    manager: SideTaskManager
-    workers: list[SideTaskWorker]
-    _submissions: list[tuple[TaskSpec, str, int]]
+    jobs: "list[JobResult]"
+    #: every submitted side task, stage = worker index in the pool
+    tasks: "list[TaskReport]"
+    rejections: "list[tuple[str, str]]"
+    #: set when the run served open-loop traffic through the frontend
+    records: "list[RequestRecord] | None" = None
+    metrics: "ServingMetrics | None" = None
+    open_duration_s: "float | None" = None
+    #: per-tenant fairness accounting (set when the traffic was tenanted)
+    fairness: "FairnessMetrics | None" = None
+    #: failure/recovery accounting (set when the spec had a faults section)
+    resilience: "ResilienceMetrics | None" = None
+    #: structured span trace (set when the spec enabled ``obs.trace``)
+    trace: "TraceResult | None" = None
+
+    @property
+    def total_bubble_s(self) -> float:
+        return sum(job.bubble_time_s for job in self.jobs)
+
+    @property
+    def harvested_s(self) -> float:
+        return sum(report.running_s for report in self.tasks)
+
+    @property
+    def utilization(self) -> float:
+        """Cluster-wide bubble utilization: harvested / produced."""
+        bubble_s = self.total_bubble_s
+        return self.harvested_s / bubble_s if bubble_s > 0 else 0.0
+
+    def job(self, name: str) -> JobResult:
+        for job in self.jobs:
+            if job.name == name:
+                return job
+        raise KeyError(name)
+
+
+class Cluster:
+    """Training jobs feeding one shared side-task manager.
+
+    ``jobs`` are :class:`ClusterJob`\\ s or bare ``TrainConfig``\\ s
+    (trained on Server I). Each job trains on its own server in the
+    pool's engine and draws its pipeline jitter from the stream
+    :func:`~repro.experiments.common.baseline_time` draws for its
+    config, so the job's time increase divides by a baseline of the same
+    draws.
+    """
+
+    def __init__(
+        self,
+        jobs: "typing.Sequence[ClusterJob | TrainConfig]",
+        seed: int = 0,
+        policy: AssignmentPolicy = least_loaded_policy,
+        hook_cost_s: float = calibration.INSTRUMENTATION_OVERHEAD_S,
+        rpc_latency_s: float = calibration.RPC_LATENCY_S,
+        grace_period_s: float = calibration.GRACE_PERIOD_S,
+    ):
+        self.jobs: list[ClusterJob] = []
+        for job in jobs:
+            if isinstance(job, TrainConfig):
+                job = ClusterJob(job)
+            elif not isinstance(job, ClusterJob):
+                raise TypeError(
+                    f"cluster jobs are ClusterJob or TrainConfig, "
+                    f"got {type(job).__name__}"
+                )
+            self.jobs.append(job)
+        if not self.jobs:
+            raise ValueError("need at least one training job")
+        self.sim = Engine()
+        self.rng = RandomStreams(seed)
+        self.servers: list[Server] = []
+        self.workers: list[SideTaskWorker] = []
+        #: per job: (label, first worker index, stages)
+        self.layout: list[tuple[str, int, int]] = []
+        profiles = []
+        # Every job's workers first: the manager needs the whole pool
+        # before any pipeline reports a bubble.
+        for index, job in enumerate(self.jobs):
+            config = job.config
+            server = job.server_factory(self.sim)
+            self.servers.append(server)
+            # Offline profiling: once per model + schedule (section 4.3).
+            profiles.append(profile_bubbles(job.server_factory, config))
+            memory = MemoryModel(
+                config.model, config.num_stages, config.micro_batches,
+                gpu_memory_gb=server.gpu(0).memory_gb,
+            )
+            offset = len(self.workers)
+            self.layout.append((job.label(index), offset, config.num_stages))
+            for stage in range(config.num_stages):
+                self.workers.append(SideTaskWorker(
+                    self.sim,
+                    server.gpu(stage),
+                    offset + stage,
+                    side_task_memory_gb=memory.available_gb(stage),
+                    mps=server.mps,
+                    rng=self.rng.spawn(f"worker{offset + stage}"),
+                ))
+        self.manager = SideTaskManager(
+            self.sim, self.workers, policy=policy,
+            rpc_latency_s=rpc_latency_s,
+            grace_period_s=grace_period_s,
+        )
+        self.pipelines = [
+            PipelineEngine(
+                self.sim, server, job.config,
+                rng=RandomStreams(job.config.seed).spawn("pipeline"),
+                listener=_ManagerListener(
+                    self.sim, self.manager, hook_cost_s, rpc_latency_s,
+                    stage_offset=offset,
+                ),
+                profile=profile,
+            )
+            for job, server, profile, (_label, offset, _stages)
+            in zip(self.jobs, self.servers, profiles, self.layout)
+        ]
+        self._submissions: list[tuple[TaskSpec, str, int]] = []
+
+    @property
+    def num_jobs(self) -> int:
+        return len(self.jobs)
+
+    def job_of_worker(self, stage: int) -> "tuple[int, int]":
+        """Map a worker index to ``(job_index, local_stage)``."""
+        for index, (_label, offset, num_stages) in enumerate(self.layout):
+            if offset <= stage < offset + num_stages:
+                return index, stage - offset
+        raise IndexError(f"no job owns worker {stage}")
 
     # ------------------------------------------------------------------
     def submit(
@@ -226,12 +420,16 @@ class SideTaskPool:
         return accepted
 
     # ------------------------------------------------------------------
+    def run_training(self) -> "list[TrainingResult]":
+        """Start every job's pipeline; run until all of them finish."""
+        procs = [pipeline.start() for pipeline in self.pipelines]
+        return [self.sim.run(until=proc) for proc in procs]
+
     def drain(self, settle_s: float = 2.0) -> None:
         """Stop live side tasks, let them settle, drain remaining events.
 
-        The canonical end-of-run teardown, shared by the ``run``
-        methods and the serving layer (which interposes its frontend
-        close in between).
+        The canonical end-of-run teardown, shared by :meth:`run` and the
+        serving layer (which interposes its frontend close in between).
         """
         # Parked PREEMPTED tasks first: they have no process to stop and
         # must not be re-placed during the settle window.
@@ -242,31 +440,61 @@ class SideTaskPool:
         self.sim.run(until=self.sim.now + settle_s)
         self.sim.run()  # drain any remaining teardown events
 
-    def _report(self, spec: TaskSpec, interface: str, stage: int) -> TaskReport:
-        runtime = self.runtime_for(spec)
-        workload = spec.workload
-        return TaskReport(
-            name=spec.name,
-            interface=interface,
-            stage=stage,
-            final_state=runtime.state,
-            failure=runtime.failure,
-            steps_done=workload.steps_done,
-            units_done=workload.units_done,
-            running_s=runtime.running_s,
-            overhead_s=runtime.overhead_s,
-            insufficient_s=runtime.insufficient_s,
-            init_s=runtime.init_s,
-            gpu_memory_gb=spec.profile.gpu_memory_gb,
-            preemptions=runtime.preemptions,
-            restores=runtime.restores,
-            checkpoints=runtime.checkpoints,
-            checkpoint_s=runtime.checkpoint_s,
-            restore_s=runtime.restore_s,
-            wasted_steps=runtime.wasted_steps,
-            wasted_s=runtime.wasted_s,
-            step_failures=runtime.step_failures,
-        )
+    def run(self, settle_s: float = 2.0):
+        """Train every job to completion, stop side tasks, and report."""
+        trainings = self.run_training()
+        self.drain(settle_s)
+        return self.result(trainings)
+
+    def result(self, trainings: "list[TrainingResult]",
+               **serving) -> ClusterResult:
+        """The :class:`ClusterResult` of a finished run; ``serving``
+        fills its traffic and resilience fields."""
+        reports = self._reports()
+        jobs = [
+            JobResult(
+                name=label,
+                training=training,
+                stage_offset=offset,
+                num_stages=num_stages,
+                tasks=[report for report in reports
+                       if offset <= report.stage < offset + num_stages],
+            )
+            for training, (label, offset, num_stages)
+            in zip(trainings, self.layout)
+        ]
+        return ClusterResult(jobs=jobs, tasks=reports,
+                             rejections=list(self.manager.rejections),
+                             **serving)
+
+    def _reports(self) -> list[TaskReport]:
+        reports = []
+        for spec, interface, stage in self._submissions:
+            runtime = self.runtime_for(spec)
+            workload = spec.workload
+            reports.append(TaskReport(
+                name=spec.name,
+                interface=interface,
+                stage=stage,
+                final_state=runtime.state,
+                failure=runtime.failure,
+                steps_done=workload.steps_done,
+                units_done=workload.units_done,
+                running_s=runtime.running_s,
+                overhead_s=runtime.overhead_s,
+                insufficient_s=runtime.insufficient_s,
+                init_s=runtime.init_s,
+                gpu_memory_gb=spec.profile.gpu_memory_gb,
+                preemptions=runtime.preemptions,
+                restores=runtime.restores,
+                checkpoints=runtime.checkpoints,
+                checkpoint_s=runtime.checkpoint_s,
+                restore_s=runtime.restore_s,
+                wasted_steps=runtime.wasted_steps,
+                wasted_s=runtime.wasted_s,
+                step_failures=runtime.step_failures,
+            ))
+        return reports
 
     def runtime_for(self, spec: TaskSpec) -> SideTaskRuntime:
         """The runtime serving ``spec`` (raises KeyError if unknown)."""
@@ -277,83 +505,35 @@ class SideTaskPool:
         raise KeyError(spec.name)
 
 
-class FreeRide(SideTaskPool):
-    """The middleware: instrumented training + managed side tasks."""
+class FreeRide(Cluster):
+    """The middleware for one training job: instrumented training plus
+    managed side tasks."""
 
     def __init__(
         self,
         train_config: TrainConfig,
-        server_factory: typing.Callable[[Engine], Server] = make_server_i,
-        sim: Engine | None = None,
+        server_factory: ServerFactory = make_server_i,
         seed: int = 0,
         policy: AssignmentPolicy = least_loaded_policy,
-        profiling_epochs: int = 3,
         hook_cost_s: float = calibration.INSTRUMENTATION_OVERHEAD_S,
         rpc_latency_s: float = calibration.RPC_LATENCY_S,
         grace_period_s: float = calibration.GRACE_PERIOD_S,
     ):
-        self.sim = sim or Engine()
-        self.server = server_factory(self.sim)
-        self.config = train_config
-        self.rng = RandomStreams(seed)
-        # Offline profiling: once per model + schedule (paper section 4.3).
-        self.bubble_profile = profile_bubbles(
-            server_factory, train_config, profiling_epochs
+        super().__init__(
+            [ClusterJob(train_config, server_factory, name="train")],
+            seed=seed, policy=policy, hook_cost_s=hook_cost_s,
+            rpc_latency_s=rpc_latency_s, grace_period_s=grace_period_s,
         )
-        self.memory = MemoryModel(
-            train_config.model,
-            train_config.num_stages,
-            train_config.micro_batches,
-            gpu_memory_gb=self.server.gpu(0).memory_gb,
-        )
-        self.workers = [
-            SideTaskWorker(
-                self.sim,
-                self.server.gpu(stage),
-                stage,
-                side_task_memory_gb=self.memory.available_gb(stage),
-                mps=self.server.mps,
-                rng=self.rng.spawn(f"worker{stage}"),
-            )
-            for stage in range(train_config.num_stages)
-        ]
-        self.manager = SideTaskManager(
-            self.sim,
-            self.workers,
-            policy=policy,
-            rpc_latency_s=rpc_latency_s,
-            grace_period_s=grace_period_s,
-        )
-        listener = _ManagerListener(
-            self.sim, self.manager, self.memory, hook_cost_s, rpc_latency_s
-        )
-        self.pipeline = PipelineEngine(
-            self.sim,
-            self.server,
-            train_config,
-            rng=self.rng.spawn("pipeline"),
-            listener=listener,
-            profile=self.bubble_profile,
-        )
-        self._submissions: list[tuple[TaskSpec, str, int]] = []
 
-    # ------------------------------------------------------------------
     def run_training(self) -> TrainingResult:
         """Start the pipeline and run the simulation until it completes."""
-        training_proc = self.pipeline.start()
-        return self.sim.run(until=training_proc)
+        return super().run_training()[0]
 
-    def run(self, settle_s: float = 2.0) -> FreeRideResult:
-        """Run training to completion, then stop side tasks and report."""
-        training_result = self.run_training()
-        self.drain(settle_s)
-        reports = [
-            self._report(spec, interface, stage)
-            for spec, interface, stage in self._submissions
-        ]
+    def result(self, training: TrainingResult) -> FreeRideResult:
+        """The :class:`FreeRideResult` of a finished run."""
         return FreeRideResult(
-            training=training_result,
-            tasks=reports,
+            training=training,
+            tasks=self._reports(),
             rejections=list(self.manager.rejections),
-            bubble_profile=self.bubble_profile,
+            bubble_profile=self.pipelines[0].profile,
         )

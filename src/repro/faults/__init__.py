@@ -12,7 +12,8 @@ The package splits into:
   slowdown/straggler windows) plus :func:`build_plan` to draw a plan
   from a seed and an intensity;
 * :mod:`repro.faults.injector` — arms a plan against a live
-  :class:`~repro.core.middleware.SideTaskPool`, scheduling the events;
+  :class:`~repro.core.middleware.Cluster` (a ``FreeRide`` or a
+  multi-job pool), scheduling the events;
 * :mod:`repro.faults.checkpoint` — the per-task checkpoint cost model
   behind the CHECKPOINTED/PREEMPTED/RESUMED recovery states;
 * :mod:`repro.faults.retry` — exponential backoff with seeded jitter for

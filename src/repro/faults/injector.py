@@ -23,7 +23,7 @@ from repro.faults.plan import FaultPlan
 from repro.sim.rng import _derive_seed
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.middleware import SideTaskPool
+    from repro.core.middleware import Cluster
 
 
 class FaultInjector:
@@ -38,7 +38,7 @@ class FaultInjector:
         #: the armed pool's engine; observability events go through it
         self._sim = None
 
-    def arm(self, pool: "SideTaskPool") -> None:
+    def arm(self, pool: "Cluster") -> None:
         """Install this plan on ``pool`` (call once, before running)."""
         sim = pool.sim
         self._sim = sim
@@ -57,7 +57,7 @@ class FaultInjector:
             sim.call_later(max(0.0, crash.at_s - sim.now),
                            lambda c: self._crash(pool, c), crash)
 
-    def _crash(self, pool: "SideTaskPool", crash) -> None:
+    def _crash(self, pool: "Cluster", crash) -> None:
         sim = pool.sim
         self.injected_crashes.append((sim.now, crash.stage))
         sim.telemetry.counter("faults.crashes").add()

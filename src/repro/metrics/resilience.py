@@ -22,7 +22,7 @@ import dataclasses
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.middleware import SideTaskPool
+    from repro.core.middleware import Cluster
     from repro.serving.frontend import RequestRecord
 
 
@@ -75,7 +75,7 @@ class ResilienceMetrics:
 
 
 def resilience_metrics(
-    pool: "SideTaskPool",
+    pool: "Cluster",
     records: "typing.Iterable[RequestRecord] | None" = None,
     duration_s: float = 0.0,
     goodput_rps: float = 0.0,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.middleware import FreeRide
+from repro.core.middleware import Cluster
 from repro.core.policies import AssignmentPolicy
 from repro.core.states import SideTaskState
 from repro.core.task_spec import TaskProfile, TaskSpec
@@ -322,12 +322,11 @@ class RequestRecord:
 class ServingFrontend:
     """Bounded admission queue + dispatcher in front of the manager.
 
-    ``freeride`` is any backend exposing the submission surface —
-    ``sim``/``manager``/``workers``/``submit``/``runtime_for``: a
-    single-job :class:`~repro.core.middleware.FreeRide` or a multi-job
-    :class:`~repro.cluster.builder.Cluster`, whose *combined* worker
-    pool then serves the traffic. ``jobs`` sizes job-aware admission
-    policies (``per_job_token_bucket``); ``tenants`` —
+    ``freeride`` is the side-task pool, a
+    :class:`~repro.core.middleware.Cluster`: a one-job
+    :class:`~repro.core.middleware.FreeRide` or several jobs whose
+    *combined* worker pool then serves the traffic; its job count sizes
+    job-aware admission policies (``per_job_token_bucket``). ``tenants`` —
     :class:`~repro.tenancy.tenants.TenantShare` descriptors — sizes the
     tenant-aware admission policy (``per_tenant_token_bucket``) and the
     weighted-fair dispatch discipline (``weighted``).
@@ -335,12 +334,11 @@ class ServingFrontend:
 
     def __init__(
         self,
-        freeride: "FreeRide",
+        freeride: "Cluster",
         requests: typing.Sequence[TaskRequest],
         admission: "str | AdmissionPolicy" = "always",
         discipline: "str | slo_mod.QueueDiscipline" = "edf",
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        jobs: int = 1,
         tenants: typing.Sequence = (),
         retry: "RetryPolicy | None" = None,
         checkpoint: "CheckpointPolicy | None" = None,
@@ -361,7 +359,7 @@ class ServingFrontend:
         self.freeride = freeride
         self.sim = freeride.sim
         self.tenants = tuple(tenants)
-        self.admission = make_admission(admission, jobs=jobs,
+        self.admission = make_admission(admission, jobs=freeride.num_jobs,
                                         tenants=self.tenants)
         self.discipline = make_discipline(discipline, tenants=self.tenants)
         self.queue_capacity = queue_capacity
@@ -898,14 +896,14 @@ def run_serving(
     """Serve an open-loop request stream from one training job's bubbles.
 
     The one-call programmatic facade: builds the serving scenario ad hoc and
-    delegates to :class:`repro.api.session.ServingRunner` — the same
+    delegates to :class:`repro.api.session.PoolRunner` — the same
     runner a declarative :class:`~repro.api.spec.ScenarioSpec` executes
     through. Policy/admission/discipline accept names or instances
     (instances bypass the spec vocabulary, e.g. a custom
     :class:`AdmissionPolicy` or a trace-replay arrival process).
     """
     # Imported here: the session layer sits above this module.
-    from repro.api.session import ServingRunner
+    from repro.api.session import PoolRunner
     from repro.api.spec import PolicySpec, ScenarioSpec
 
     policy_spec = PolicySpec(
@@ -921,7 +919,7 @@ def run_serving(
         policy=policy_spec,
         params={"horizon_s": horizon_s, "settle_s": settle_s},
     )
-    runner = ServingRunner(
+    runner = PoolRunner(
         spec,
         config=config,
         arrivals=arrivals,

@@ -22,7 +22,8 @@ declarative surface is :class:`repro.api.spec.TenantSpec` plus the
 per-tenant fairness table (``repro run fairness --set tenants=4``).
 
 The whole stack works identically over a single-job ``FreeRide`` and an
-N-job ``Cluster`` because it only touches the shared ``SideTaskPool``
+N-job ``Cluster``: both are the one side-task pool class,
+:class:`~repro.core.middleware.Cluster`, and the stack only touches its
 submission surface.
 """
 

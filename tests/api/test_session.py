@@ -7,9 +7,8 @@ import json
 import pytest
 
 from repro.api.session import (
-    BatchRunner,
     PipelineRunner,
-    ServingRunner,
+    PoolRunner,
     Session,
     make_runner,
 )
@@ -109,12 +108,12 @@ class TestSubmit:
 
 class TestRunners:
     def test_make_runner_dispatches_on_kind(self):
-        assert isinstance(make_runner(ScenarioSpec(kind="batch")), BatchRunner)
+        assert isinstance(make_runner(ScenarioSpec(kind="batch")), PoolRunner)
         assert isinstance(make_runner(ScenarioSpec(kind="pipeline")),
                           PipelineRunner)
         assert isinstance(
             make_runner(ScenarioSpec(kind="serving", arrivals=ArrivalSpec())),
-            ServingRunner)
+            PoolRunner)
 
     def test_pipeline_runner_runs_training_only(self):
         spec = ScenarioSpec(kind="pipeline", training=TrainingSpec(epochs=1))

@@ -170,8 +170,9 @@ class TestAssembly:
         assert process.rate_per_s == 2.0
 
     def test_cluster_spec_rejects_unknown_server(self):
-        with pytest.raises(SpecError, match="unknown server"):
-            ClusterSpec(server="server_ix").factory()
+        unknown = r"unknown ClusterSpec field\(s\) \['server'\]"
+        with pytest.raises(SpecError, match=unknown):
+            ClusterSpec.from_dict({"server": "server_ii"})
 
     def test_policy_spec_rejects_unknown_assignment(self):
         with pytest.raises(SpecError, match="unknown assignment policy"):

@@ -88,11 +88,11 @@ def test_tenant_validation_errors():
 
 
 def test_serving_without_arrivals_or_tenants_is_an_error():
-    from repro.api.session import ServingRunner
+    from repro.api.session import PoolRunner
 
     spec = ScenarioSpec(kind="serving")
     with pytest.raises(SpecError, match="no arrivals"):
-        ServingRunner(spec).prepare()
+        PoolRunner(spec).prepare()
 
 
 def test_expand_overrides_policy_shorthands():

@@ -1,19 +1,19 @@
 """Tests for the first-class cluster layer (`repro.cluster`).
 
-Covers the four surfaces ISSUE 4 names: spec round-trip, the
-ClusterRunner lifecycle through Session, N-job serial-vs-pool
-determinism, and the stage-offset correctness of bubble reports
-(`_OffsetListener`).
+Covers spec round-trip, the cluster lifecycle through Session (the
+pool runner), N-job serial-vs-pool determinism, and the stage-offset
+correctness of bubble reports (`_ManagerListener`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import registry
-from repro.api.session import ClusterRunner, Session, make_runner
+from repro.api.session import PoolRunner, Session, make_runner
 from repro.api.spec import (
     ClusterSpec,
     JobSpec,
@@ -21,10 +21,12 @@ from repro.api.spec import (
     TrainingSpec,
     WorkloadSpec,
 )
-from repro.cluster import Cluster, ClusterBuilder, ClusterResult
+from repro.cluster import Cluster, ClusterJob, ClusterResult
 from repro.core.states import SideTaskState
 from repro.errors import SessionError, SpecError
 from repro.experiments import common
+from repro.fuzz.digest import digest_result
+from repro.fuzz.generator import draw_spec
 from repro.pipeline.config import TrainConfig, model_config
 from repro.workloads.registry import workload_factory
 
@@ -121,7 +123,7 @@ class TestClusterSpec:
     def test_per_job_server_factories(self):
         spec = ScenarioSpec(
             kind="cluster",
-            jobs=(JobSpec(cluster=ClusterSpec(server="server_i")),),
+            jobs=(JobSpec(cluster=ClusterSpec()),),
         )
         assert spec.job_specs()[0].cluster.factory() is not None
 
@@ -133,22 +135,23 @@ class TestBuilder:
     def test_builder_chains_jobs(self):
         config = TrainConfig(model=model_config("3.6B"), epochs=1,
                              op_jitter=0.01)
-        cluster = (ClusterBuilder()
-                   .add_job(config)
-                   .add_job(config, name="second")
-                   .build())
+        cluster = Cluster([config, ClusterJob(config, name="second")])
         assert cluster.num_jobs == 2
         assert len(cluster.workers) == 2 * config.num_stages
         assert cluster.layout[1][0] == "second"
 
     def test_builder_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            ClusterBuilder().build()
+            Cluster([])
+
+    def test_rejects_a_job_that_is_not_a_job_or_config(self):
+        with pytest.raises(TypeError, match="ClusterJob or TrainConfig"):
+            Cluster(["3.6B"])
 
     def test_job_of_worker_maps_global_to_local(self):
         config = TrainConfig(model=model_config("3.6B"), epochs=1,
                              op_jitter=0.01)
-        cluster = ClusterBuilder([config, config]).build()
+        cluster = Cluster([config, config])
         assert cluster.job_of_worker(0) == (0, 0)
         assert cluster.job_of_worker(config.num_stages) == (1, 0)
         assert cluster.job_of_worker(config.num_stages + 1) == (1, 1)
@@ -203,11 +206,15 @@ class TestClusterByHand:
 
 
 # ----------------------------------------------------------------------
-# ClusterRunner lifecycle via Session
+# the pool runner's cluster lifecycle via Session
 # ----------------------------------------------------------------------
 class TestClusterRunner:
     def test_make_runner_dispatches_cluster_kind(self):
-        assert isinstance(make_runner(cluster_spec()), ClusterRunner)
+        assert isinstance(make_runner(cluster_spec()), PoolRunner)
+
+    def test_cluster_runner_refuses_a_training_config(self):
+        with pytest.raises(TypeError, match="config="):
+            make_runner(cluster_spec(), config=cluster_spec().train_config())
 
     def test_session_runs_cluster_to_a_typed_result(self):
         with Session(cluster_spec()) as session:
@@ -290,6 +297,42 @@ class TestClusterRunner:
 
 
 # ----------------------------------------------------------------------
+# one pool: each job trains on its baseline's jitter, FreeRide is one job
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_idle_cluster_trains_each_job_in_its_baseline_time(jobs, seed):
+    """With no side tasks and no hook cost, every job trains in exactly
+    its no-side-task baseline: a job's time increase I divides by the
+    baseline of its own jitter draws."""
+    configs = cluster_spec(jobs=jobs, seed=seed).job_configs()
+    cluster = Cluster(configs, seed=seed, hook_cost_s=0.0)
+    result = cluster.run()
+    assert [job.training.total_time for job in result.jobs] == \
+        [common.baseline_time(config) for config in configs]
+
+
+#: the fuzzer's batch and serving draws among its first sixty
+POOL_DRAWS = [seed for seed in range(60)
+              if draw_spec(seed).kind in ("batch", "serving")]
+
+
+@pytest.mark.parametrize("seed", POOL_DRAWS)
+def test_freeride_is_a_one_job_cluster(seed):
+    """A batch or serving draw run as drawn and as a one-job cluster:
+    same side tasks, rejections, serving, fairness and resilience
+    figures, and the same training."""
+    spec = draw_spec(seed)
+    as_cluster = dataclasses.replace(spec, kind="cluster", jobs=1)
+    single = digest_result(spec, Session(spec).run().results())
+    pooled = digest_result(as_cluster, Session(as_cluster).run().results())
+    shared = (single.keys() & pooled.keys()) - {"kind"}
+    assert {key: single[key] for key in shared} == \
+        {key: pooled[key] for key in shared}
+    assert single["training"] == pooled["jobs"][0]["training"]
+
+
+# ----------------------------------------------------------------------
 # N-job determinism: serial vs pool, export re-run
 # ----------------------------------------------------------------------
 CLUSTER_REDUCED = {
@@ -331,7 +374,7 @@ def test_exported_cluster_spec_reruns_byte_identically():
 
 
 # ----------------------------------------------------------------------
-# _OffsetListener stage mapping
+# _ManagerListener stage mapping
 # ----------------------------------------------------------------------
 class _RecordingManager:
     """Captures what the manager would receive over RPC."""
@@ -349,15 +392,10 @@ class _RecordingManager:
 
 class TestOffsetListener:
     def _listener(self, engine, manager, stage_offset):
-        from repro.cluster.builder import _OffsetListener
-        from repro.pipeline.memory_model import MemoryModel
+        from repro.core.middleware import _ManagerListener
 
-        config = TrainConfig(model=model_config("3.6B"), epochs=1,
-                             op_jitter=0.01)
-        memory = MemoryModel(config.model, config.num_stages,
-                             config.micro_batches, gpu_memory_gb=48.0)
-        return _OffsetListener(engine, manager, memory, 0.0, 0.001,
-                               stage_offset=stage_offset)
+        return _ManagerListener(engine, manager, 0.0, 0.001,
+                                stage_offset=stage_offset)
 
     def test_bubble_reports_shift_by_the_job_offset(self, engine):
         from repro.pipeline.analysis import BubbleType
@@ -395,7 +433,7 @@ class TestOffsetListener:
                                op_jitter=0.01)
         config_b = TrainConfig(model=model_config("1.2B"), epochs=1,
                                op_jitter=0.01, seed=1)
-        cluster = ClusterBuilder([config_a, config_b]).build()
+        cluster = Cluster([config_a, config_b])
         seen: set[int] = set()
         original = cluster.manager.add_bubble
 

@@ -61,9 +61,9 @@ class TestFaultIsolation:
                         memory_limit_gb=2.5)
         freeride.run()
         stage = freeride._submissions[0][2]
-        gpu = freeride.server.gpu(stage)
+        gpu = freeride.servers[0].gpu(stage)
         # Only the training allocation remains.
-        training_gb = freeride.memory.stage_memory_gb(stage)
+        training_gb = freeride.pipelines[0].memory.stage_memory_gb(stage)
         assert gpu.used_gb == pytest.approx(training_gb, abs=0.01)
 
     def test_healthy_task_unaffected_by_failing_neighbour(self, config):

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.api.session import ServingRunner, Session
+from repro.api.session import PoolRunner, Session
 from repro.api.spec import ArrivalSpec, FaultSpec, ScenarioSpec, TrainingSpec
 from repro.core.middleware import FreeRide
 from repro.core.states import SideTaskState
@@ -96,7 +96,7 @@ def _single_request_run(faults, *, job_steps=400, epochs=3):
         name="recovery-test", kind="serving", seed=0, faults=faults,
         params={"horizon_s": 1e4, "settle_s": 2.0},
     )
-    runner = ServingRunner(
+    runner = PoolRunner(
         spec,
         config=common.train_config(epochs=epochs),
         arrivals=TraceArrivals([(0.5, template)], seed=0),

@@ -7,7 +7,7 @@ an explicit terminal outcome, and the run's ``failed`` count is zero.
 
 from __future__ import annotations
 
-from repro.api.session import ServingRunner
+from repro.api.session import PoolRunner
 from repro.api.spec import FaultSpec, ScenarioSpec
 from repro.experiments import common
 from repro.faults.plan import WorkerCrash
@@ -23,7 +23,7 @@ def _run(faults, *, trace=None, epochs=3):
         name="retry-test", kind="serving", seed=0, faults=faults,
         params={"horizon_s": 1e4, "settle_s": 2.0},
     )
-    runner = ServingRunner(
+    runner = PoolRunner(
         spec,
         config=common.train_config(epochs=epochs),
         arrivals=TraceArrivals(trace, seed=0),

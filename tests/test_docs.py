@@ -1,7 +1,8 @@
 """Fast docs-consistency guard (the tier-1 slice of scripts/check_docs.py).
 
 Every registered scenario must be mentioned in API.md and README.md,
-and every ``REPRO_*`` variable the docs name must be read by the code —
+every ``REPRO_*`` variable the docs name must be read by the code, and
+every CamelCase name in the docs' code spans must be defined by it —
 so code and documentation cannot silently drift apart. The slow half
 (actually *running* every example) lives in ``scripts/check_docs.py``,
 wired into the registry-smoke CI job.
@@ -73,6 +74,26 @@ def test_env_var_check_accepts_every_read_variable(tmp_path, monkeypatch):
               'import os\nA = os.environ.get("REPRO_A")\n'
               "B = os.environ.get('REPRO_B_2')\n")
     assert module.check_env_vars_read() == []
+
+
+def test_every_documented_name_is_defined():
+    assert _check_docs_script().check_names_defined() == []
+
+
+def test_name_check_flags_a_class_nothing_defines(tmp_path, monkeypatch):
+    module = _check_docs_script()
+    monkeypatch.setattr(module, "REPO", tmp_path)
+    monkeypatch.setattr(module, "NAME_DOCS", ("README.md",))
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "pool.py").write_text(
+        "class SharedPool:\n    pass\n\n\nPoolAlias = SharedPool\n")
+    (tmp_path / "README.md").write_text(
+        "Build a `SharedPool` (or `pkg.PoolAlias`), never a "
+        "`SharedPoolBuilder().build()`; `Session` and `TYPE_A` are not "
+        "CamelCase.\n")
+    errors = module.check_names_defined()
+    assert len(errors) == 1
+    assert "['SharedPoolBuilder']" in errors[0]
 
 
 def test_architecture_doc_covers_every_subsystem():

@@ -21,8 +21,11 @@ from repro.api import registry
 SCENARIO_GOLDEN = {
     "ablations":
         "f612c6b9d6116716cbe4b8471389209c873783b4c61cc05c0a9a2d279c4df9a9",
+    # Re-captured when each cluster job began training on the jitter
+    # stream of its own no-side-task baseline (its I had divided by a
+    # baseline with other draws).
     "cluster":
-        "be7f30e382ac704caa19f17afba7fd0615cb8f05edcb60f70a082c8917276c07",
+        "bb8cb864d96127c2507d826256868b9a6390e2153debbcb0b5c09f13a20d79e3",
     "fairness":
         "26fcb5debee0d04c55f4b6ae07fb2a684ccad39b332f56bd2bcfe38679df00e2",
     "fig1":
