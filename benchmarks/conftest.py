@@ -53,7 +53,6 @@ def _clear_experiment_caches() -> None:
         model_training,
     )
 
-    common.run_replicated.cache_clear()
     common.baseline_time.cache_clear()
     pipeline_engine._profile_bubbles_cached.cache_clear()
     graph_analytics._PAGERANK_TRAJECTORIES.clear()

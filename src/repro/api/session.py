@@ -24,8 +24,12 @@ Behind the session sits a :class:`Runner`:
   characterization scenarios; reports a
   :class:`~repro.pipeline.engine.TrainingResult`.
 
-The programmatic facades (``FreeRide`` and ``Cluster`` driven by hand,
-:func:`repro.serving.frontend.run_serving`) build the same pool.
+Every run built from a spec goes through a session: the CLI, the
+paper-figure rows and the serving tests alike, so the spec's seed and
+``policy`` section reach every pool. The one keyword besides the spec,
+``arrivals``, hands in an arrival process a JSON spec cannot name (a
+trace replay). ``FreeRide`` and ``Cluster`` driven by hand build the
+same pool without a spec.
 """
 
 from __future__ import annotations
@@ -41,12 +45,9 @@ from repro.pipeline.engine import PipelineEngine, TrainingResult
 from repro.sim.engine import Engine
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.policies import AssignmentPolicy
     from repro.obs.export import TraceResult
     from repro.pipeline.config import TrainConfig
     from repro.serving.arrivals import ArrivalProcess
-    from repro.serving.frontend import AdmissionPolicy
-    from repro.serving.slo import QueueDiscipline
 
 #: default post-training settle window before the final drain
 DEFAULT_SETTLE_S = 2.0
@@ -73,42 +74,21 @@ class Runner(typing.Protocol):
 class PoolRunner:
     """A batch, serving or cluster scenario over one side-task pool.
 
-    Construction is spec-driven; the keyword overrides exist for the
-    :func:`~repro.serving.frontend.run_serving` facade and for
-    programmatic callers injecting policy *objects* or a trace-replay
-    arrival process that a JSON spec cannot name. ``config`` replaces
-    the spec's training section; a cluster spec trains its jobs'
-    configs and refuses it.
+    Everything the run is comes from the spec. The one keyword,
+    ``arrivals``, hands in an arrival process a JSON spec cannot name
+    (a trace replay, say); it replaces the spec's traffic.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        *,
-        config: "TrainConfig | None" = None,
-        arrivals: "ArrivalProcess | None" = None,
-        admission: "AdmissionPolicy | None" = None,
-        policy: "AssignmentPolicy | None" = None,
-        discipline: "QueueDiscipline | None" = None,
-        horizon_s: "float | None" = None,
-    ):
-        if config is not None and spec.kind == "cluster":
-            raise TypeError(
-                "config= replaces a batch or serving scenario's training; "
-                "a cluster scenario trains its jobs' configs"
-            )
+    def __init__(self, spec: ScenarioSpec, *,
+                 arrivals: "ArrivalProcess | None" = None):
         self.spec = spec
         self.kind = spec.kind
         #: the training config of each job
         self.configs: "list[TrainConfig]" = (
             spec.job_configs() if spec.kind == "cluster"
-            else [config if config is not None else spec.train_config()]
+            else [spec.train_config()]
         )
         self._arrivals = arrivals
-        self._admission = admission
-        self._policy = policy
-        self._discipline = discipline
-        self._horizon_s = horizon_s
         self.pool: "Cluster | None" = None
         self.frontend = None
         self.injector = None
@@ -138,14 +118,11 @@ class PoolRunner:
         """Seconds the pool accepts traffic — arrivals stop before
         teardown so late requests are not counted as offered load.
 
-        Priority: the constructor's ``horizon_s``, then
-        ``params.horizon_s``, then ``params.open_fraction`` (default
-        :data:`DEFAULT_OPEN_FRACTION`) of the *longest* job's
+        ``params.horizon_s`` when set, else ``params.open_fraction``
+        (default :data:`DEFAULT_OPEN_FRACTION`) of the *longest* job's
         no-side-task training time, since the pool keeps producing
         bubbles until the last job finishes.
         """
-        if self._horizon_s is not None:
-            return self._horizon_s
         horizon = self.spec.param("horizon_s")
         if horizon is not None:
             return float(horizon)
@@ -166,8 +143,6 @@ class PoolRunner:
                 "section and no tenants"
             )
         kwargs = spec.policy.freeride_kwargs()
-        if self._policy is not None:
-            kwargs["policy"] = self._policy
         if spec.kind == "cluster":
             jobs = [ClusterJob(config, job.cluster.factory(), job.name)
                     for job, config in zip(spec.job_specs(), self.configs)]
@@ -212,10 +187,8 @@ class PoolRunner:
         self.frontend = ServingFrontend(
             self.pool,
             arrivals.generate(self._open_horizon),
-            admission=(self._admission if self._admission is not None
-                       else spec.policy.admission),
-            discipline=(self._discipline if self._discipline is not None
-                        else spec.policy.discipline),
+            admission=spec.policy.admission,
+            discipline=spec.policy.discipline,
             queue_capacity=spec.policy.queue_capacity,
             tenants=spec.tenant_shares(),
             metrics_mode=spec.metrics.mode,
@@ -293,10 +266,9 @@ class PipelineRunner:
 
     kind = "pipeline"
 
-    def __init__(self, spec: ScenarioSpec, *,
-                 config: "TrainConfig | None" = None):
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self.config = config if config is not None else spec.train_config()
+        self.config = spec.train_config()
         self.sim: "Engine | None" = None
         self.server = None
         self.engine: "PipelineEngine | None" = None
@@ -352,8 +324,10 @@ _RUNNERS: "dict[str, type]" = {
 }
 
 
-def make_runner(spec: ScenarioSpec, **kwargs) -> Runner:
-    """The runner class for ``spec.kind``, constructed over ``spec``."""
+def make_runner(spec: ScenarioSpec,
+                arrivals: "ArrivalProcess | None" = None) -> Runner:
+    """The runner class for ``spec.kind``, constructed over ``spec``;
+    ``arrivals`` goes to a pool runner (a pipeline serves no traffic)."""
     try:
         runner_cls = _RUNNERS[spec.kind]
     except KeyError:
@@ -361,7 +335,9 @@ def make_runner(spec: ScenarioSpec, **kwargs) -> Runner:
             f"no runner for scenario kind {spec.kind!r}; "
             f"choose from {sorted(_RUNNERS)}"
         ) from None
-    return runner_cls(spec, **kwargs)
+    if arrivals is None:
+        return runner_cls(spec)
+    return runner_cls(spec, arrivals=arrivals)
 
 
 class Session:
@@ -377,9 +353,10 @@ class Session:
             report = session.run().results()
     """
 
-    def __init__(self, spec: "ScenarioSpec | None" = None, **runner_kwargs):
+    def __init__(self, spec: "ScenarioSpec | None" = None, *,
+                 arrivals: "ArrivalProcess | None" = None):
         self._spec = spec
-        self._runner_kwargs = runner_kwargs
+        self._arrivals = arrivals
         self._runner: "Runner | None" = None
         self._result: object = None
 
@@ -404,7 +381,7 @@ class Session:
     def runner(self) -> Runner:
         """The backing runner (built on first access)."""
         if self._runner is None:
-            self._runner = make_runner(self.spec, **self._runner_kwargs)
+            self._runner = make_runner(self.spec, self._arrivals)
         return self._runner
 
     # -- submit ---------------------------------------------------------
@@ -418,8 +395,7 @@ class Session:
         elif fields:
             workload = dataclasses.replace(workload, **fields)
         takes_workloads = self.spec.kind in ("batch", "cluster") and not (
-            PoolRunner.serves_traffic(self.spec,
-                                      self._runner_kwargs.get("arrivals")))
+            PoolRunner.serves_traffic(self.spec, self._arrivals))
         if not takes_workloads:
             raise SessionError(
                 f"submit() extends batch-style scenarios; {self.spec.kind!r} "

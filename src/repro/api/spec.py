@@ -18,7 +18,6 @@ spec). ``tests/api/test_spec.py`` pins both properties.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import typing
@@ -100,10 +99,12 @@ class ClusterSpec(SpecBase):
     record_occupancy: bool = False
 
     def factory(self) -> "typing.Callable[[Engine], Server]":
-        from repro.gpu.cluster import make_server_i
+        """Server I's constructor: one module-level function per setting,
+        so the bubble-profile cache, which keys on it, hits across runs."""
+        from repro.gpu.cluster import make_recording_server_i, make_server_i
 
         if self.record_occupancy:
-            return functools.partial(make_server_i, record_occupancy=True)
+            return make_recording_server_i
         return make_server_i
 
 
@@ -481,8 +482,9 @@ class PolicySpec(SpecBase):
             ) from None
 
     def freeride_kwargs(self) -> dict:
-        """Keyword overrides for :class:`~repro.core.middleware.FreeRide`
-        (only the fields that deviate from the calibrated defaults)."""
+        """Keyword overrides for :class:`~repro.core.middleware.Cluster`
+        and :class:`~repro.core.manager.SideTaskManager` (only the fields
+        that deviate from the calibrated defaults)."""
         kwargs: dict = {"policy": self.assignment_policy()}
         if self.grace_period_s is not None:
             kwargs["grace_period_s"] = self.grace_period_s

@@ -29,6 +29,7 @@ from repro.gpu.cluster import make_server_i
 from repro.metrics.cost import time_increase
 from repro.pipeline.analysis import bubble_rate
 from repro.sim.engine import Engine
+from repro.sim.rng import RandomStreams
 from repro.workloads.model_training import ModelTrainingTask
 
 GRACE_PERIODS = (0.1, 0.25, 0.5, 1.0)
@@ -65,12 +66,13 @@ def _grace_row(spec: ScenarioSpec) -> dict:
     from repro.core.worker import ManagedBubble, SideTaskWorker
     from repro.workloads.misbehaving import NonPausingTask
 
-    grace = spec.policy.grace_period_s
     sim = Engine()
     server = make_server_i(sim)
     worker = SideTaskWorker(sim, server.gpu(0), 0,
-                            side_task_memory_gb=20.0, mps=server.mps)
-    manager = SideTaskManager(sim, [worker], grace_period_s=grace)
+                            side_task_memory_gb=20.0, mps=server.mps,
+                            rng=RandomStreams(spec.seed))
+    manager = SideTaskManager(sim, [worker], **spec.policy.freeride_kwargs())
+    grace = manager.grace_period_s
     profile = profile_side_task(NonPausingTask(), interface="iterative")
     # Explicit name: the default embeds a process-global counter, which
     # would make the row depend on whether it runs serially or in a pool
@@ -149,13 +151,13 @@ def _granularity_row(spec: ScenarioSpec) -> dict:
         step_time_s=base.step_time_s * scale,
         units_per_step=base.units_per_step * scale,
     )
-    from repro.core.middleware import FreeRide
-
-    # A scaled synthetic task has no registry name, so this row drives
-    # FreeRide directly rather than through a WorkloadSpec.
-    freeride = FreeRide(spec.train_config())
-    freeride.submit_replicated(lambda perf=perf: ModelTrainingTask(perf))
-    result = freeride.run()
+    # A scaled synthetic task has no registry name, so this row submits
+    # it to the session's pool rather than through a WorkloadSpec.
+    session = Session(dataclasses.replace(spec, workloads=()))
+    session.runner.prepare()
+    session.runner.pool.submit_replicated(
+        lambda perf=perf: ModelTrainingTask(perf))
+    result = session.run().results()
     running = sum(report.running_s for report in result.tasks)
     overhead = sum(report.overhead_s for report in result.tasks)
     insufficient = sum(report.insufficient_s for report in result.tasks)

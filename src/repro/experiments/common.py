@@ -1,4 +1,4 @@
-"""Shared runners, the sweep executor, and rendering helpers."""
+"""The sweep executor, the no-side-task baseline, and rendering helpers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import os
 import pickle
 import typing
 
-from repro.core.middleware import FreeRide, FreeRideResult
 from repro.gpu.cluster import make_server_i
 from repro.pipeline.config import TrainConfig, model_config
 from repro.pipeline.engine import PipelineEngine
@@ -157,44 +156,6 @@ def baseline_time(config: TrainConfig) -> float:
         rng=RandomStreams(config.seed).spawn("pipeline"),
     ).run()
     return result.total_time
-
-
-def run_freeride(config: TrainConfig, submissions, seed: int = SEED,
-                 ) -> FreeRideResult:
-    """Run FreeRide with ``submissions`` = [(factory, interface, replicate)].
-
-    ``replicate=True`` places one copy on every worker with enough bubble
-    memory (the paper's single-task deployments); ``False`` submits once.
-    """
-    freeride = FreeRide(config, seed=seed)
-    for factory, interface, replicate in submissions:
-        if replicate:
-            freeride.submit_replicated(factory, interface)
-        else:
-            freeride.submit(factory, interface)
-    return freeride.run()
-
-
-@functools.lru_cache(maxsize=128)
-def run_replicated(config: TrainConfig, name: str, batch_size: int = 64,
-                   interface: str = "iterative") -> FreeRideResult:
-    """The paper's standard deployment — one task replicated on every
-    worker — as a cached run.
-
-    Several sweeps revisit identical (config, task) points: the
-    micro-batch sweep at 4 micro-batches repeats the model-size sweep's
-    3.6B column, the batch sweep at batch 64 repeats the defaults, and
-    Figure 9 / Tables 1-2 all start from the same deployments. Runs are
-    deterministic, so the first result is the only result; callers treat
-    it as read-only.
-    """
-    from repro.workloads.registry import workload_factory
-
-    return run_freeride(
-        config,
-        [(workload_factory(name, batch_size=batch_size, interface=interface),
-          interface, True)],
-    )
 
 
 def render_table(title: str, headers: list[str], rows: list[list[str]]) -> str:

@@ -19,6 +19,7 @@ import dataclasses
 from repro import calibration
 from repro.api import registry
 from repro.api.results import ResultRow
+from repro.api.session import Session
 from repro.api.spec import ScenarioSpec, TrainingSpec, WorkloadSpec
 from repro.baselines.dedicated import run_dedicated
 from repro.experiments import common
@@ -66,8 +67,7 @@ def _measure(spec: ScenarioSpec) -> Point:
     workload = spec.workloads[0]
     name, batch_size = workload.name, workload.batch_size
     t_no = spec.param("t_no")
-    result = common.run_replicated(spec.train_config(), name,
-                                   batch_size=batch_size)
+    result = Session(spec).run().results()
     increase = time_increase(result.training.total_time, t_no)
     profile = make_workload(name, batch_size=batch_size).perf
     # The paper's base (batch-64) configurations all run on Server-II by
@@ -103,7 +103,7 @@ def batch_sweep(spec: ScenarioSpec) -> list[Point]:
 def _sized_point(spec: ScenarioSpec) -> Point:
     """One model-size / micro-batch point; runs in a sweep worker."""
     name = spec.workloads[0].name
-    result = common.run_replicated(spec.train_config(), name)
+    result = Session(spec).run().results()
     profile = calibration.SIDE_TASK_PROFILES[name]
     t_no = spec.param("t_no")
     return Point(

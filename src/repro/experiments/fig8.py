@@ -22,6 +22,7 @@ from repro.core.task_spec import TaskSpec
 from repro.core.worker import ManagedBubble, SideTaskWorker
 from repro.gpu.cluster import make_server_i
 from repro.sim.engine import Engine
+from repro.sim.rng import RandomStreams
 from repro.workloads.misbehaving import MemoryLeakTask, NonPausingTask
 
 MEMORY_CAP_GB = 8.0
@@ -41,21 +42,22 @@ def default_spec() -> ScenarioSpec:
     )
 
 
-def _stage(workload_factory, limit_gb, bubble_s, horizon_s, interface="iterative"):
+def _stage(spec, workload_factory, limit_gb, bubble_s, horizon_s,
+           interface="iterative"):
     sim = Engine()
     # Figure 8(a) plots the SM-occupancy trace, so recording is opted in.
     server = make_server_i(sim, record_occupancy=True)
     worker = SideTaskWorker(sim, server.gpu(0), 0, side_task_memory_gb=20.0,
-                            mps=server.mps)
-    manager = SideTaskManager(sim, [worker])
+                            mps=server.mps, rng=RandomStreams(spec.seed))
+    manager = SideTaskManager(sim, [worker], **spec.policy.freeride_kwargs())
     profile = profile_side_task(workload_factory(), interface=interface)
     workload = workload_factory()
     # Explicit name: the default embeds a process-global counter, and the
     # name seeds the task's jitter stream — without it this figure's
     # traces would depend on whatever ran earlier in the process.
-    spec = TaskSpec(workload=workload, profile=profile,
+    task = TaskSpec(workload=workload, profile=profile,
                     memory_limit_gb=limit_gb, name=f"{workload.name}-fig8")
-    manager.submit(spec, interface)
+    manager.submit(task, interface)
     runtime = worker.all_tasks[0]
     sim.run(until=sim.now + 1.0)
     bubble_start = sim.now
@@ -63,14 +65,15 @@ def _stage(workload_factory, limit_gb, bubble_s, horizon_s, interface="iterative
                                      expected_end=sim.now + bubble_s,
                                      available_gb=20.0))
     sim.run(until=bubble_start + horizon_s)
-    return sim, server, worker, runtime, bubble_start
+    return manager, server, runtime, bubble_start
 
 
 def _time_limit_scenario(spec: ScenarioSpec) -> dict:
     """(a) execution-time limit: the task launches a runaway kernel inside
     the bubble and ignores the pause."""
     bubble_s = spec.param("time_bubble_s", 0.65)
-    sim_a, server_a, worker_a, runtime_a, t0_a = _stage(
+    manager_a, server_a, runtime_a, t0_a = _stage(
+        spec,
         lambda: NonPausingTask(actual_kernel_s=spec.param("runaway_kernel_s",
                                                           6.0)),
         limit_gb=20.0, bubble_s=bubble_s,
@@ -87,7 +90,7 @@ def _time_limit_scenario(spec: ScenarioSpec) -> dict:
     )
     return {
         "bubble_end_s": bubble_s,
-        "grace_period_s": 0.5,
+        "grace_period_s": manager_a.grace_period_s,
         "killed_at_s": killed_at_a,
         "kill_reason": runtime_a.failure,
         "occupancy": occupancy,
@@ -97,8 +100,8 @@ def _time_limit_scenario(spec: ScenarioSpec) -> dict:
 def _memory_limit_scenario(spec: ScenarioSpec) -> dict:
     """(b) memory limit: the task leaks 1 GB per step against an 8 GB cap."""
     cap_gb = spec.param("memory_cap_gb", MEMORY_CAP_GB)
-    sim_b, server_b, worker_b, runtime_b, t0_b = _stage(
-        MemoryLeakTask, limit_gb=cap_gb,
+    _manager_b, _server_b, runtime_b, t0_b = _stage(
+        spec, MemoryLeakTask, limit_gb=cap_gb,
         bubble_s=spec.param("leak_bubble_s", 3.0),
         horizon_s=spec.param("horizon_s", 4.0),
     )

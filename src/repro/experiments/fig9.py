@@ -52,9 +52,8 @@ def default_spec() -> ScenarioSpec:
 def _task_row(spec: ScenarioSpec) -> dict:
     """One task's breakdown; module-level so pool workers unpickle it."""
     name = spec.workloads[0].name
-    result = common.run_replicated(spec.train_config(), name)
-    breakdown = bubble_breakdown(result)
-    return {"task": name, **breakdown.fractions()}
+    result = Session(spec).run().results()
+    return {"task": name, **bubble_breakdown(result).fractions()}
 
 
 def _mixed_row(spec: ScenarioSpec) -> dict:

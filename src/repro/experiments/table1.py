@@ -13,6 +13,7 @@ per side task, each carrying the dedicated-baseline run length.
 from __future__ import annotations
 
 from repro.api import registry
+from repro.api.session import Session
 from repro.api.spec import ScenarioSpec, SweepSpec, TrainingSpec, WorkloadSpec
 from repro.baselines.dedicated import run_dedicated
 from repro.experiments import common
@@ -37,7 +38,7 @@ def _task_row(spec: ScenarioSpec):
     """One task's row; module-level so pool workers can unpickle it."""
     name = spec.workloads[0].name
     duration_s = spec.param("dedicated_duration_s", 30.0)
-    freeride = common.run_replicated(spec.train_config(), name)
+    freeride = Session(spec).run().results()
     server_ii = run_dedicated(make_workload(name), "server_ii",
                               duration_s=duration_s)
     cpu = run_dedicated(make_workload(name), "cpu", duration_s=duration_s)

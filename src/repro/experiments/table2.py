@@ -52,11 +52,13 @@ def _method_cell(spec: ScenarioSpec) -> Cell:
     name = spec.workloads[0].name
     method = spec.param("method")
     t_no = spec.param("t_no")
-    config = spec.train_config()
     if method in ("iterative", "imperative"):
-        result = common.run_replicated(config, name, interface=method)
+        result = Session(
+            spec.override({"workloads.0.interface": method})
+        ).run().results()
     else:
-        result = run_colocation(config, workload_factory(name), mode=method)
+        result = run_colocation(spec.train_config(), workload_factory(name),
+                                mode=method)
     profile = calibration.SIDE_TASK_PROFILES[name]
     return Cell(
         method=method,

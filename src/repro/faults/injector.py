@@ -39,11 +39,17 @@ class FaultInjector:
         self._sim = None
 
     def arm(self, pool: "Cluster") -> None:
-        """Install this plan on ``pool`` (call once, before running)."""
+        """Install this plan on ``pool`` (call once, before running).
+
+        Runtimes copy their worker's injector when placed, so the tasks
+        already placed get it here too.
+        """
         sim = pool.sim
         self._sim = sim
         for worker in pool.workers:
             worker.injector = self
+            for runtime in worker.all_tasks:
+                runtime.injector = self
         if self.plan.rpc_drops:
             pool.manager.rpc.install_faults(
                 self.plan.rpc_drops, self.plan.rpc_retry_delay_s

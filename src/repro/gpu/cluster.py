@@ -66,6 +66,11 @@ def make_server_i(engine: "Engine", sharing: SharingMode = SharingMode.MPS,
     )
 
 
+def make_recording_server_i(engine: "Engine") -> Server:
+    """Server I with the SM-occupancy trace on (Figures 1 and 8)."""
+    return make_server_i(engine, record_occupancy=True)
+
+
 def make_server_ii(engine: "Engine") -> Server:
     """The RTX 3080 server used to price dedicated side-task execution."""
     gpu = SimGPU(

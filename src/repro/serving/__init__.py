@@ -11,7 +11,7 @@ scheduled into pipeline bubbles against per-class latency SLOs.
 * :mod:`repro.serving.slo` — latency classes, deadlines, and the queue
   dispatch disciplines (FIFO / EDF / starvation-aware);
 * :mod:`repro.serving.frontend` — admission policies, the bounded queue,
-  per-request lifecycle tracking, and :func:`run_serving`;
+  and per-request lifecycle tracking;
 * :mod:`repro.metrics.latency` — streaming latency quantiles, goodput,
   and rejection accounting.
 """
@@ -40,7 +40,6 @@ from repro.serving.frontend import (
     TokenBucket,
     make_admission,
     make_discipline,
-    run_serving,
 )
 from repro.serving.slo import (
     NAMED_DISCIPLINES,
@@ -76,6 +75,5 @@ __all__ = [
     "make_arrivals",
     "make_discipline",
     "met_slo",
-    "run_serving",
     "slo_class",
 ]

@@ -10,8 +10,9 @@ bubble memory for them — with the full lifecycle timestamped per request:
 
 Admission policies are pluggable (always-admit, token bucket, queue-length
 backpressure); dispatch order comes from :mod:`repro.serving.slo` (FIFO,
-EDF, starvation-aware EDF). :func:`run_serving` is the one-call
-orchestration the `serve` experiment sweeps.
+EDF, starvation-aware EDF). A serving scenario runs through
+:class:`~repro.api.session.Session`, which puts this frontend in front of
+the pool.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import dataclasses
 import typing
 
 from repro.core.middleware import Cluster
-from repro.core.policies import AssignmentPolicy
 from repro.core.states import SideTaskState
 from repro.core.task_spec import TaskProfile, TaskSpec
 from repro.core.profiler import profile_side_task
-from repro.pipeline.config import TrainConfig
 from repro.pipeline.engine import TrainingResult
 from repro.metrics.fairness import (
     FairnessMetrics,
@@ -39,7 +38,7 @@ from repro.metrics.latency import (
 from repro.metrics.resilience import RequestOutcomeCounts
 from repro.metrics.resilience import ResilienceMetrics
 from repro.serving import slo as slo_mod
-from repro.serving.arrivals import ArrivalProcess, TaskRequest
+from repro.serving.arrivals import TaskRequest
 from repro.workloads.adapters import FiniteJob, ImperativeAdapter
 from repro.workloads.registry import make_workload
 
@@ -860,7 +859,7 @@ class ServingFrontend:
 
 
 # ----------------------------------------------------------------------
-# one-call serving run
+# the result of a serving run
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class ServingResult:
@@ -880,51 +879,3 @@ class ServingResult:
 
     def summaries(self) -> list[dict]:
         return [record.summary() for record in self.records]
-
-
-def run_serving(
-    config: TrainConfig,
-    arrivals: ArrivalProcess,
-    horizon_s: float,
-    admission: "str | AdmissionPolicy" = "always",
-    policy: "str | AssignmentPolicy" = "least_loaded",
-    discipline: "str | slo_mod.QueueDiscipline" = "edf",
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-    seed: int = 0,
-    settle_s: float = 2.0,
-) -> ServingResult:
-    """Serve an open-loop request stream from one training job's bubbles.
-
-    The one-call programmatic facade: builds the serving scenario ad hoc and
-    delegates to :class:`repro.api.session.PoolRunner` — the same
-    runner a declarative :class:`~repro.api.spec.ScenarioSpec` executes
-    through. Policy/admission/discipline accept names or instances
-    (instances bypass the spec vocabulary, e.g. a custom
-    :class:`AdmissionPolicy` or a trace-replay arrival process).
-    """
-    # Imported here: the session layer sits above this module.
-    from repro.api.session import PoolRunner
-    from repro.api.spec import PolicySpec, ScenarioSpec
-
-    policy_spec = PolicySpec(
-        assignment=policy if isinstance(policy, str) else "least_loaded",
-        admission=admission if isinstance(admission, str) else "always",
-        discipline=discipline if isinstance(discipline, str) else "edf",
-        queue_capacity=queue_capacity,
-    )
-    spec = ScenarioSpec(
-        name="run_serving",
-        kind="serving",
-        seed=seed,
-        policy=policy_spec,
-        params={"horizon_s": horizon_s, "settle_s": settle_s},
-    )
-    runner = PoolRunner(
-        spec,
-        config=config,
-        arrivals=arrivals,
-        admission=None if isinstance(admission, str) else admission,
-        policy=None if isinstance(policy, str) else policy,
-        discipline=None if isinstance(discipline, str) else discipline,
-    )
-    return runner.run()

@@ -178,6 +178,25 @@ class TestAssembly:
         with pytest.raises(SpecError, match="unknown assignment policy"):
             PolicySpec(assignment="coin_flip").assignment_policy()
 
+    def test_recording_server_factory_hits_the_bubble_profile_cache(self):
+        """The offline bubble profile is cached on the server factory, so
+        each setting needs one factory value, not a new one per call."""
+        from repro.api.session import Session
+        from repro.pipeline.engine import _profile_bubbles_cached
+
+        spec = ScenarioSpec(
+            cluster=ClusterSpec(record_occupancy=True),
+            training=TrainingSpec(model="1.2B", epochs=1),
+            workloads=(WorkloadSpec(name="pagerank", replicate=False),),
+        )
+        assert spec.cluster.factory() is spec.cluster.factory()
+        before = _profile_bubbles_cached.cache_info()
+        for _ in range(3):
+            Session(spec).run()
+        after = _profile_bubbles_cached.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 2
+
 
 class TestObsSpec:
     def test_defaults_are_off_but_present(self):

@@ -212,10 +212,6 @@ class TestClusterRunner:
     def test_make_runner_dispatches_cluster_kind(self):
         assert isinstance(make_runner(cluster_spec()), PoolRunner)
 
-    def test_cluster_runner_refuses_a_training_config(self):
-        with pytest.raises(TypeError, match="config="):
-            make_runner(cluster_spec(), config=cluster_spec().train_config())
-
     def test_session_runs_cluster_to_a_typed_result(self):
         with Session(cluster_spec()) as session:
             result = session.run().results()

@@ -241,8 +241,11 @@ FUZZ_GOLDEN = {
         407, "9.4814"),  # serving
     14: ("efb2d44bc4c3a11314fb9e82b1944b9117b917e2637350fff331b4b0ac9af182",
         854, "10.317385093367804"),  # cluster
-    15: ("e34a70abcc1a958fe1c8848d2d3d45143cdf67f5052425befb8bc0954a216824",
-        937, "7.321311819618389"),  # cluster
+    # Re-captured when the fault injector began reaching the tasks a
+    # cluster places before arming it: this batch-style draw's 2% step
+    # failures had never acted.
+    15: ("013a4efd2790c0b2f6680ca5df2735e081a44c317ad92f68f1ad07893f0a888c",
+        935, "7.321311819618389"),  # cluster
     # Re-captured when baseline_time began keying on the whole training
     # config: this serving-mode cluster draw trains a gpipe schedule, so
     # its horizon (the no-side-task training time) moved.

@@ -161,3 +161,35 @@ class TestArmValidation:
         assert freeride.manager.rpc.drop_windows == windows
         assert freeride.manager.rpc.retransmit_delay_s == 0.1
         assert all(worker.injector is injector for worker in freeride.workers)
+
+    def test_tasks_placed_before_arming_get_the_plan(self):
+        """A cluster spec without traffic places its workloads, then arms
+        the injector: step failures and slowdowns must reach those tasks
+        too, not only crashes."""
+        from repro.api.session import Session
+        from repro.api.spec import (
+            FaultSpec,
+            ScenarioSpec,
+            TrainingSpec,
+            WorkloadSpec,
+        )
+
+        spec = ScenarioSpec(
+            kind="cluster", jobs=2, training=TrainingSpec(epochs=2),
+            workloads=(WorkloadSpec(name="resnet18"),),
+            faults=FaultSpec(
+                step_failure_rate=0.5,
+                slowdowns=(SlowdownWindow(stage=0, start_s=0.0, end_s=100.0,
+                                          factor=3.0),),
+            ),
+        )
+        runner = Session(spec).run().runner
+        workers = runner.pool.workers
+        runtimes = [runtime for worker in workers
+                    for runtime in worker.all_tasks]
+        assert len(runtimes) == len(workers)
+        assert all(runtime.injector is runner.injector
+                   for runtime in runtimes)
+        assert all(runtime.step_failures > 0 for runtime in runtimes)
+        assert sum(runtime.slowdown_s
+                   for runtime in workers[0].all_tasks) > 0

@@ -94,14 +94,11 @@ def _single_request_run(faults, *, job_steps=400, epochs=3):
                                slo_class="standard")
     spec = ScenarioSpec(
         name="recovery-test", kind="serving", seed=0, faults=faults,
+        training=TrainingSpec(epochs=epochs),
         params={"horizon_s": 1e4, "settle_s": 2.0},
     )
-    runner = PoolRunner(
-        spec,
-        config=common.train_config(epochs=epochs),
-        arrivals=TraceArrivals([(0.5, template)], seed=0),
-    )
-    return runner.run()
+    arrivals = TraceArrivals([(0.5, template)], seed=0)
+    return PoolRunner(spec, arrivals=arrivals).run()
 
 
 class TestServingRecovery:

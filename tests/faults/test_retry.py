@@ -8,8 +8,7 @@ an explicit terminal outcome, and the run's ``failed`` count is zero.
 from __future__ import annotations
 
 from repro.api.session import PoolRunner
-from repro.api.spec import FaultSpec, ScenarioSpec
-from repro.experiments import common
+from repro.api.spec import FaultSpec, ScenarioSpec, TrainingSpec
 from repro.faults.plan import WorkerCrash
 from repro.serving.arrivals import RequestTemplate, TraceArrivals
 
@@ -21,14 +20,10 @@ def _run(faults, *, trace=None, epochs=3):
         trace = [(0.5, template)]
     spec = ScenarioSpec(
         name="retry-test", kind="serving", seed=0, faults=faults,
+        training=TrainingSpec(epochs=epochs),
         params={"horizon_s": 1e4, "settle_s": 2.0},
     )
-    runner = PoolRunner(
-        spec,
-        config=common.train_config(epochs=epochs),
-        arrivals=TraceArrivals(trace, seed=0),
-    )
-    return runner.run()
+    return PoolRunner(spec, arrivals=TraceArrivals(trace, seed=0)).run()
 
 
 #: every stage dies once at t=1.0 and returns at t=3.0 — wherever the

@@ -27,9 +27,7 @@ from repro.api.spec import (
     TenantSpec,
     TrainingSpec,
 )
-from repro.experiments import common
 from repro.serving.arrivals import RequestTemplate, TraceArrivals
-from repro.serving.frontend import run_serving
 
 
 def _digest(summaries: "list[dict]") -> str:
@@ -75,15 +73,15 @@ def _fifo_mixed_memory() -> "list[dict]":
                             slo_class="interactive")
     trace = [(0.1 * (i + 1), big) for i in range(7)]
     trace += [(1.0, huge), (1.1, small)]
-    result = run_serving(
-        common.train_config(epochs=2),
-        TraceArrivals(trace, seed=0),
-        horizon_s=1e4,
-        admission="always",
-        discipline="fifo",
+    spec = ScenarioSpec(
+        kind="serving",
         seed=0,
+        training=TrainingSpec(epochs=2),
+        policy=PolicySpec(admission="always", discipline="fifo"),
+        params={"horizon_s": 1e4},
     )
-    summaries = result.summaries()
+    with Session(spec, arrivals=TraceArrivals(trace, seed=0)) as session:
+        summaries = session.run().results().summaries()
     statuses = {s["workload"]: s["status"] for s in summaries}
     assert statuses["vgg19"] == "queued"
     assert statuses["pagerank"] == "completed"

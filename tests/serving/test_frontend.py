@@ -5,17 +5,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.session import Session
+from repro.api.spec import PolicySpec, ScenarioSpec, TrainingSpec
 from repro.core.middleware import FreeRide
 from repro.experiments import common
 from repro.serving.arrivals import RequestTemplate, TaskRequest, TraceArrivals
 from repro.serving.frontend import (
+    NAMED_ADMISSION,
     AdmissionPolicy,
     QueueBackpressure,
     RequestRecord,
     ServingFrontend,
     TokenBucket,
     make_admission,
-    run_serving,
 )
 from repro.serving.slo import (
     SLO_CLASSES,
@@ -25,6 +27,16 @@ from repro.serving.slo import (
     slo_class,
     starvation_aware_discipline,
 )
+
+
+def _serve(trace, horizon_s=1e4, **policy):
+    """Serve a replayed ``trace`` from a 2-epoch training job's bubbles."""
+    spec = ScenarioSpec(
+        kind="serving", seed=0, training=TrainingSpec(epochs=2),
+        policy=PolicySpec(**policy), params={"horizon_s": horizon_s},
+    )
+    session = Session(spec, arrivals=TraceArrivals(trace, seed=0))
+    return session.run().results()
 
 
 def _request(request_id=0, arrival_s=0.0, workload="pagerank"):
@@ -119,15 +131,8 @@ def small_run():
     late = RequestTemplate("resnet18", job_steps=10, slo_class="standard")
     trace = [(0.5, template), (1.0, template), (2.0, template),
              (1e4, late)]  # far beyond training: arrives after close
-    config = common.train_config(epochs=2)
-    return run_serving(
-        config,
-        TraceArrivals(trace, seed=0),
-        horizon_s=2e4,
-        admission="always",
-        policy="least_loaded",
-        seed=0,
-    )
+    return _serve(trace, horizon_s=2e4, admission="always",
+                  assignment="least_loaded")
 
 
 class TestLifecycle:
@@ -174,22 +179,17 @@ class SpyAdmission(AdmissionPolicy):
 
 
 class TestAdmissionQueueInteraction:
-    def test_full_queue_rejects_without_consulting_policy(self):
+    def test_full_queue_rejects_without_consulting_policy(
+            self, monkeypatch):
         """A queue-full rejection must not consume admission state
         (e.g. token-bucket tokens)."""
         spy = SpyAdmission()
+        monkeypatch.setitem(NAMED_ADMISSION, "spy",
+                            lambda jobs=1, tenants=(): spy)
         template = RequestTemplate("resnet50", job_steps=500,
                                    slo_class="batch")
         trace = [(0.05 * i, template) for i in range(15)]
-        config = common.train_config(epochs=2)
-        result = run_serving(
-            config,
-            TraceArrivals(trace, seed=0),
-            horizon_s=1e4,
-            admission=spy,
-            queue_capacity=2,
-            seed=0,
-        )
+        result = _serve(trace, admission="spy", queue_capacity=2)
         overflow = [r for r in result.records if r.reject_reason
                     and r.reject_reason.startswith("admission queue full")]
         assert overflow  # the bounded queue did overflow
@@ -208,15 +208,7 @@ class TestDispatchOrdering:
         # below vgg19's 11.5 GB while leaving pagerank-sized holes.
         trace = [(0.1 * (i + 1), big) for i in range(7)]
         trace += [(1.0, huge), (1.1, small)]
-        config = common.train_config(epochs=2)
-        result = run_serving(
-            config,
-            TraceArrivals(trace, seed=0),
-            horizon_s=1e4,
-            admission="always",
-            discipline="fifo",
-            seed=0,
-        )
+        result = _serve(trace, admission="always", discipline="fifo")
         by_workload = {}
         for record in result.records:
             by_workload.setdefault(record.request.workload, []).append(record)
@@ -233,15 +225,7 @@ class TestBoundedQueueAndBackpressure:
                                    slo_class="batch")
         # A burst far beyond what 2-epoch bubbles can drain.
         trace = [(0.1 * i, template) for i in range(40)]
-        config = common.train_config(epochs=2)
-        result = run_serving(
-            config,
-            TraceArrivals(trace, seed=0),
-            horizon_s=1e4,
-            admission="always",
-            queue_capacity=4,
-            seed=0,
-        )
+        result = _serve(trace, admission="always", queue_capacity=4)
         reasons = {r.reject_reason for r in result.records
                    if r.status == "rejected"}
         assert any(reason.startswith("admission queue full")
@@ -255,14 +239,7 @@ class TestBoundedQueueAndBackpressure:
         template = RequestTemplate("resnet50", job_steps=200,
                                    slo_class="batch")
         trace = [(0.1 * i, template) for i in range(40)]
-        config = common.train_config(epochs=2)
-        result = run_serving(
-            config,
-            TraceArrivals(trace, seed=0),
-            horizon_s=1e4,
-            admission="backpressure",
-            seed=0,
-        )
+        result = _serve(trace, admission="backpressure")
         reasons = {r.reject_reason for r in result.records
                    if r.status == "rejected"}
         assert any(reason.startswith("backpressure") for reason in reasons)

@@ -5,16 +5,17 @@ sweep must produce byte-identical results whether the points run
 serially, in process-pool workers, or twice in the same process. Serving
 adds new determinism hazards — arrival generation, admission state,
 dispatch order, streaming quantiles — so the guard covers the whole
-:func:`~repro.serving.frontend.run_serving` path end to end.
+serving session path end to end.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro.api.session import Session
+from repro.api.spec import PolicySpec, ScenarioSpec, TrainingSpec
 from repro.experiments import common, serve
 from repro.serving.arrivals import PoissonArrivals
-from repro.serving.frontend import run_serving
 
 
 def _serialize(results) -> bytes:
@@ -31,15 +32,15 @@ ITEMS = (
 def _point(item):
     """One serving point; module-level so pool workers can unpickle it."""
     rate, admission, policy = item
-    config = common.train_config(epochs=1)
-    result = run_serving(
-        config,
-        PoissonArrivals(rate, seed=0),
-        horizon_s=5.0,
-        admission=admission,
-        policy=policy,
+    spec = ScenarioSpec(
+        kind="serving",
         seed=0,
+        training=TrainingSpec(epochs=1),
+        policy=PolicySpec(assignment=policy, admission=admission),
+        params={"horizon_s": 5.0},
     )
+    session = Session(spec, arrivals=PoissonArrivals(rate, seed=0))
+    result = session.run().results()
     metrics = result.metrics
     return {
         "rate": rate,

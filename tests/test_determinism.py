@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 
+from repro.api.session import Session
+from repro.api.spec import ScenarioSpec, TrainingSpec, WorkloadSpec
 from repro.experiments import common
-from repro.workloads.registry import workload_factory
 
 
 def _serialize(results) -> bytes:
@@ -26,10 +27,11 @@ ITEMS = (("1.2B", "pagerank"), ("3.6B", "resnet18"))
 def _point(item):
     """One sweep point; module-level so pool workers can unpickle it."""
     size, name = item
-    config = common.train_config(size=size, epochs=1)
-    result = common.run_freeride(
-        config, [(workload_factory(name), "iterative", True)]
+    spec = ScenarioSpec(
+        training=TrainingSpec(model=size, epochs=1),
+        workloads=(WorkloadSpec(name=name),),
     )
+    result = Session(spec).run().results()
     return {
         "size": size,
         "task": name,
