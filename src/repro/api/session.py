@@ -322,12 +322,17 @@ _RUNNERS: "dict[str, type]" = {
     "pipeline": PipelineRunner,
     "cluster": PoolRunner,
 }
+#: the kinds whose runs can admit open-loop requests
+_TRAFFIC_KINDS = ("serving", "cluster")
 
 
 def make_runner(spec: ScenarioSpec,
                 arrivals: "ArrivalProcess | None" = None) -> Runner:
-    """The runner class for ``spec.kind``, constructed over ``spec``;
-    ``arrivals`` goes to a pool runner (a pipeline serves no traffic)."""
+    """The runner class for ``spec.kind``, constructed over ``spec``.
+
+    ``arrivals`` goes to the runner of a serving or cluster spec; a batch
+    or pipeline scenario serves no traffic, so handing it one raises
+    :class:`SessionError` rather than dropping it."""
     try:
         runner_cls = _RUNNERS[spec.kind]
     except KeyError:
@@ -337,6 +342,11 @@ def make_runner(spec: ScenarioSpec,
         ) from None
     if arrivals is None:
         return runner_cls(spec)
+    if spec.kind not in _TRAFFIC_KINDS:
+        raise SessionError(
+            f"{spec.kind!r} scenario {spec.name!r} serves no traffic; "
+            f"arrivals= needs a {' or '.join(_TRAFFIC_KINDS)} spec"
+        )
     return runner_cls(spec, arrivals=arrivals)
 
 

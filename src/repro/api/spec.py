@@ -138,14 +138,22 @@ class TrainingSpec(SpecBase):
             raise SpecError(
                 f"model size must be positive billions, got {self.model}"
             )
-        for field, minimum in (("num_stages", 1), ("micro_batches", 1),
-                               ("epochs", 1)):
+        for field, minimum in (("micro_batches", 1), ("epochs", 1)):
             value = getattr(self, field)
             if not isinstance(value, int) or value < minimum:
                 raise SpecError(
                     f"training.{field} must be an integer >= {minimum}, "
                     f"got {value!r}"
                 )
+        # A pipeline has at least two stages, and Server I trains one
+        # stage per GPU.
+        stages = (2, calibration.SERVER_I_NUM_GPUS)
+        if (not isinstance(self.num_stages, int)
+                or not stages[0] <= self.num_stages <= stages[1]):
+            raise SpecError(
+                f"training.num_stages must be an integer in "
+                f"[{stages[0]}, {stages[1]}], got {self.num_stages!r}"
+            )
         if self.op_jitter < 0:
             raise SpecError(
                 f"training.op_jitter must be >= 0, got {self.op_jitter}"

@@ -10,7 +10,7 @@ import typing
 
 from repro.gpu.cluster import make_server_i
 from repro.pipeline.config import TrainConfig, model_config
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import solo_training
 from repro.sim import engine as sim_engine
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
@@ -149,12 +149,15 @@ def train_config(size: str = "3.6B", micro_batches: int = 4,
 def baseline_time(config: TrainConfig) -> float:
     """T_noSideTask for this configuration, cached on the whole config:
     the schedule, stage count and op jitter shape the time as much as the
-    model, micro-batches, epochs and seed do."""
-    sim = Engine()
-    result = PipelineEngine(
-        sim, make_server_i(sim), config,
-        rng=RandomStreams(config.seed).spawn("pipeline"),
-    ).run()
+    model, micro-batches, epochs and seed do.
+
+    With nothing co-located the run is computed from the op plan
+    (:func:`~repro.pipeline.engine.solo_training`), not simulated; it
+    equals a :class:`~repro.pipeline.engine.PipelineEngine` run on
+    Server I with the same jitter stream float for float, and the tests
+    check it against one."""
+    result = solo_training(make_server_i(Engine()), config,
+                           RandomStreams(config.seed).spawn("pipeline"))
     return result.total_time
 
 

@@ -308,6 +308,9 @@ def _invalid_cases() -> "dict[str, typing.Callable[[random.Random], object]]":
     def unknown_schedule(rng):
         return TrainingSpec(schedule="interleaved")
 
+    def stage_count_out_of_range(rng):
+        return TrainingSpec(num_stages=rng.choice([1, 5, 8]))
+
     def unknown_workload(rng):
         return WorkloadSpec(name=rng.choice(["bert", "llama", "dlrm"]))
 

@@ -375,6 +375,48 @@ def _training_progress(spec, outcome):
             yield f"{name}: empty op trace"
 
 
+@invariant(
+    "solo_timeline",
+    "baseline_time and profile_bubbles, computed from the op plan, equal "
+    "a fresh PipelineEngine run of every training config bit for bit",
+)
+def _solo_timeline(spec, outcome):
+    from repro.experiments.common import baseline_time
+    from repro.gpu.cluster import make_server_i
+    from repro.pipeline.engine import (
+        PROFILING_EPOCHS,
+        PipelineEngine,
+        profile_bubbles,
+    )
+    from repro.pipeline.instrumentation import BubbleProfile
+    from repro.sim.engine import Engine
+    from repro.sim.rng import RandomStreams
+
+    if spec.kind == "cluster":
+        jobs = [(config, job.cluster.factory()) for job, config
+                in zip(spec.job_specs(), spec.job_configs())]
+    else:
+        jobs = [(spec.train_config(), spec.cluster.factory())]
+    for index, (config, factory) in enumerate(jobs):
+        sim = Engine()
+        expected = PipelineEngine(
+            sim, make_server_i(sim), config,
+            rng=RandomStreams(config.seed).spawn("pipeline"),
+        ).run().total_time
+        if baseline_time(config) != expected:
+            yield (f"job {index}: baseline_time {baseline_time(config)!r} "
+                   f"!= the engine's {expected!r}")
+        probe = dataclasses.replace(config, epochs=PROFILING_EPOCHS)
+        sim = Engine()
+        reference = BubbleProfile.from_trace(
+            PipelineEngine(sim, factory(sim), probe).run().trace)
+        profile = profile_bubbles(factory, config)
+        if profile.durations != reference.durations:
+            yield f"job {index}: profiled bubble durations differ"
+        if profile.available_gb != reference.available_gb:
+            yield f"job {index}: profiled available memory differs"
+
+
 # ---------------------------------------------------------------------------
 # telemetry cross-checks
 

@@ -17,6 +17,13 @@ in an op plan (:func:`_stage_plans`). Training runs as one process per
 run that wakes once per epoch; each stage's epoch runs as callbacks on
 its own entries (:class:`_StageEpoch`), with the ``(time, seq)`` keys a
 generator process per stage per epoch would take.
+
+A run with nothing co-located — the no-side-task baseline and the
+offline bubble profile — needs none of that: each GPU runs one kernel at
+a time, so :func:`solo_training` computes its timeline from the same
+plan in one pass, float for float what the engine would produce. The
+engine stays the only path for runs with a listener or side tasks, and
+the reference the tests check :func:`solo_training` against.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MIN_BUBBLE_S = 0.05
 #: profiled bubbles shorter than this are not worth reporting to the manager
 MIN_REPORT_S = 0.05
+#: epochs of the offline profiling run
+PROFILING_EPOCHS = 3
 #: SM demand of training kernels (Figure 1a shows near-full occupancy)
 OP_SM_DEMAND = 0.95
 OPTIMIZER_SM_DEMAND = 0.55
@@ -444,16 +453,21 @@ class _StageEpoch:
 def profile_bubbles(
     server_factory: typing.Callable[[Engine], "Server"],
     config: TrainConfig,
-    profiling_epochs: int = 3,
+    profiling_epochs: int = PROFILING_EPOCHS,
 ) -> BubbleProfile:
     """Offline bubble profiling (paper section 4.3).
 
-    Runs a short training job on a fresh simulation and extracts the
-    per-(stage, index) bubble durations. "This offline profiling is done
-    only once for each model and pipeline scheduling" — so the result is
-    cached on the probe configuration (the training config with its epoch
-    count replaced), and every FreeRide instance sharing a model, schedule
-    and seed reuses it. The profile is treated as read-only by consumers.
+    Trains a short job with nothing co-located and extracts the
+    per-(stage, index) bubble durations. The job is computed from the op
+    plan (:func:`solo_training`), not simulated; its bubbles equal a
+    :class:`PipelineEngine` run's on a fresh server from
+    ``server_factory``, and the tests check them against one.
+
+    "This offline profiling is done only once for each model and
+    pipeline scheduling" — so the result is cached on the probe
+    configuration (the training config with its epoch count replaced),
+    and every FreeRide instance sharing a model, schedule and seed
+    reuses it. The profile is treated as read-only by consumers.
     """
     probe_config = dataclasses.replace(config, epochs=profiling_epochs)
     return _profile_bubbles_cached(server_factory, probe_config)
@@ -464,8 +478,120 @@ def _profile_bubbles_cached(
     server_factory: typing.Callable[[Engine], "Server"],
     probe_config: TrainConfig,
 ) -> BubbleProfile:
-    sim = Engine()
-    server = server_factory(sim)
-    engine = PipelineEngine(sim, server, probe_config)
-    result = engine.run()
+    result = solo_training(server_factory(Engine()), probe_config)
     return BubbleProfile.from_trace(result.trace)
+
+
+#: one op of a solo epoch: ``(stage, position, index, dependency indices,
+#: whether it is a forward, type of a bubble before it)``
+_SoloOp = tuple[int, int, int, tuple[int, ...], bool, BubbleType]
+
+
+@functools.lru_cache(maxsize=64)
+def _solo_plan(
+    schedule: str, num_stages: int, micro_batches: int,
+) -> tuple[tuple[_SoloOp, ...], tuple[int, ...]]:
+    """The op plan in one order: ``(ops, trailing indices)``.
+
+    ``ops`` lists every op of an epoch in an order that respects the
+    dependencies and keeps each stage's execution order, so each stage's
+    jitter stream is drawn in the order the engine draws it.
+    ``trailing[stage]`` is the index of the stage's trailing bubble.
+    """
+    names, plans = _stage_plans(schedule, num_stages, micro_batches)
+    ops: list[_SoloOp] = []
+    done: set[int] = set()
+    positions = [0] * num_stages
+    while len(ops) < len(names):
+        for stage, plan in enumerate(plans):
+            position = positions[stage]
+            while position < len(plan):
+                op, index, _name, is_first_backward, deps = plan[position]
+                if not done.issuperset(deps):
+                    break
+                btype = classify_gap(is_before_first_op=(position == 0),
+                                     is_after_last_op=False,
+                                     next_is_first_backward=is_first_backward)
+                ops.append((stage, position, index, deps,
+                            op.kind is OpKind.FORWARD, btype))
+                done.add(index)
+                position += 1
+            positions[stage] = position
+    return tuple(ops), tuple(len(plan) for plan in plans)
+
+
+def solo_training(server: "Server", config: TrainConfig,
+                  rng: RandomStreams | None = None) -> TrainingResult:
+    """A training run with nothing co-located, computed without the engine.
+
+    Alone on its GPU, every op runs at full speed, so the timeline is a
+    max-plus pass over the op plan: an op starts at the later of its
+    stage's previous end and its dependencies' ends, and ends
+    ``work_s / speed_factor`` later; each stage's optimizer follows its
+    last op, and the epoch ends with the last optimizer. Durations come
+    from the ``op:{stage}`` and ``opt:{stage}`` streams of ``rng`` (the
+    config's seed by default) in each stage's op order, as
+    :class:`PipelineEngine` draws them, so the result equals a
+    :class:`PipelineEngine` run with no listener on ``server`` float for
+    float: the same epochs and end time, and the same bubbles (a gap of
+    at least :data:`MIN_BUBBLE_S`, each stage's trailing one included)
+    with the same index, type and available memory, though not in the
+    same order. ``trace.ops`` stays empty. The engine is this function's
+    test reference, and the only path for runs with a listener or side
+    tasks. Raises what the engine raises for a server or config it
+    cannot train.
+    """
+    if server.num_gpus < config.num_stages:
+        raise ValueError(
+            f"{server.name} has {server.num_gpus} GPUs; "
+            f"{config.num_stages} stages need one each"
+        )
+    rng = rng or RandomStreams(config.seed)
+    num_stages = config.num_stages
+    memory = MemoryModel(config.model, num_stages, config.micro_batches,
+                         gpu_memory_gb=server.gpu(0).memory_gb)
+    available = [memory.available_gb(stage) for stage in range(num_stages)]
+    timing = TimingModel(config.model)
+    fp_time, bp_time = timing.fp_time, timing.bp_time
+    opt_time = timing.optimizer_time
+    jitter = config.op_jitter
+    if jitter > 0:
+        op_streams = [rng.stream(f"op:{stage}") for stage in range(num_stages)]
+        opt_streams = [rng.stream(f"opt:{stage}")
+                       for stage in range(num_stages)]
+    speeds = [server.gpu(stage).speed_factor for stage in range(num_stages)]
+    ops, trailing = _solo_plan(config.schedule, num_stages,
+                               config.micro_batches)
+    trace = TrainingTrace(num_stages=num_stages)
+    bubbles = trace.bubbles
+    epoch_end = 0.0
+    for epoch in range(config.epochs):
+        epoch_start = epoch_end
+        free = [epoch_start] * num_stages
+        ends = [0.0] * len(ops)
+        for stage, position, index, deps, forward, btype in ops:
+            previous = start = free[stage]
+            for dep in deps:
+                if ends[dep] > start:
+                    start = ends[dep]
+            if start - previous >= MIN_BUBBLE_S:
+                bubbles.append(BubbleRecord(epoch, stage, position, previous,
+                                            start, btype, available[stage]))
+            work = fp_time if forward else bp_time
+            if jitter > 0:
+                work = op_streams[stage].lognormvariate(0.0, jitter) * work
+            free[stage] = ends[index] = start + work / speeds[stage]
+        for stage in range(num_stages):
+            work = opt_time
+            if jitter > 0:
+                work = opt_streams[stage].lognormvariate(0.0, jitter) * work
+            free[stage] += work / speeds[stage]
+        epoch_end = max(free)
+        for stage, optimized in enumerate(free):
+            if epoch_end - optimized >= MIN_BUBBLE_S:
+                bubbles.append(BubbleRecord(
+                    epoch, stage, trailing[stage], optimized,
+                    epoch_end, _TRAILING, available[stage]))
+        trace.epochs.append(EpochRecord(epoch, epoch_start, epoch_end))
+    return TrainingResult(config=config, trace=trace, start_time=0.0,
+                          end_time=epoch_end)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.api.spec import ArrivalSpec, ScenarioSpec, TrainingSpec, WorkloadSpec
 from repro.core.middleware import FreeRideResult
 from repro.errors import SessionError, SimulationError, SpecError
 from repro.pipeline.engine import TrainingResult
+from repro.serving.arrivals import TraceArrivals
 from repro.serving.frontend import ServingResult
 
 
@@ -130,6 +132,14 @@ class TestRunners:
         result = Session(spec).run().results()
         assert isinstance(result, ServingResult)
         assert result.metrics.offered > 0
+
+    @pytest.mark.parametrize("kind", ["batch", "pipeline"])
+    def test_arrivals_for_a_kind_without_traffic_raise(self, kind):
+        # A batch pool would drop the process and run to a FreeRideResult
+        # with no frontend; a pipeline runner takes no such keyword.
+        spec = dataclasses.replace(batch_spec(), kind=kind)
+        with pytest.raises(SessionError, match=f"{kind!r} scenario"):
+            Session(spec, arrivals=TraceArrivals([0.5, 1.0])).run()
 
     def test_serving_without_arrivals_raises(self):
         spec = ScenarioSpec(kind="serving", training=TrainingSpec(epochs=1))

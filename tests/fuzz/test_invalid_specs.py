@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api.spec import ArrivalSpec, ScenarioSpec, TenantSpec
+from repro.api.spec import ArrivalSpec, ScenarioSpec, TenantSpec, TrainingSpec
 from repro.errors import SpecError
 from repro.fuzz import draw_invalid, invalid_case_names
 from repro.fuzz.generator import _invalid_cases
@@ -57,3 +57,15 @@ def test_messages_name_the_offending_field():
         ScenarioSpec().override({"training.epoch": 2})
     with pytest.raises(SpecError, match="epochs"):
         ScenarioSpec().override({"training.epochs": 0})
+
+
+@pytest.mark.parametrize("stages", [0, 1, 5, 8, True, 2.0])
+def test_stage_counts_server_i_cannot_train_are_rejected(stages):
+    # One stage is no pipeline, and Server I has one GPU per stage.
+    with pytest.raises(SpecError, match=r"training\.num_stages .*\[2, 4\]"):
+        TrainingSpec(num_stages=stages)
+
+
+@pytest.mark.parametrize("stages", [2, 3, 4])
+def test_every_stage_count_server_i_can_train_is_accepted(stages):
+    assert TrainingSpec(num_stages=stages).to_config().num_stages == stages

@@ -32,7 +32,8 @@ def test_registry_names_the_expected_properties():
                  "terminal_records", "latency_sanity", "retry_bounds",
                  "fairness_bounds", "resilience_bounds",
                  "no_faults_no_damage", "tasks_terminal",
-                 "training_progress", "telemetry_consistency"):
+                 "training_progress", "solo_timeline",
+                 "telemetry_consistency"):
         assert name in INVARIANTS
         assert INVARIANTS[name].description
 
