@@ -21,7 +21,18 @@ from repro.core.middleware import FreeRideResult
 
 @dataclasses.dataclass(frozen=True)
 class BubbleBreakdown:
-    """Fractions of total bubble time (sum <= 1; remainder is runtime)."""
+    """Fractions of total bubble time.
+
+    The runtime bucket also takes whatever bubble time the counted
+    buckets leave, clamped at zero, so the fractions sum to 1 up to
+    rounding unless the counted running, overhead and insufficient time
+    exceed the bubble time of the stages that ran tasks. Then the sum
+    exceeds 1: on the one-task deployments of Figure 9 at seed 0,
+    graph_sgd's sums to 1.0105 at 1 epoch and 1.0006 at 2, while at 8
+    epochs and for the other five tasks it stays at 1 (pinned in
+    ``tests/metrics/test_throughput_breakdown.py``). ROADMAP item 3 is
+    to derive the buckets from bubble intervals instead of counters.
+    """
 
     total_bubble_s: float
     running_s: float

@@ -257,6 +257,11 @@ class RequestRecord:
     #: why the last attempt died, when one did
     failure: str | None = None
     spec: TaskSpec | None = dataclasses.field(default=None, repr=False)
+    #: the request shape's profile, stamped from the frontend's
+    #: per-shape cache at admission (a record queued some other way is
+    #: stamped on first use); dispatch reads its memory from here
+    profile: TaskProfile | None = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     @property
     def effective_deadline(self) -> float:
@@ -457,13 +462,16 @@ class ServingFrontend:
             return ImperativeAdapter(job)
         return job
 
-    def _profile_for(self, request: TaskRequest) -> TaskProfile:
+    def _profile_of(self, record: RequestRecord) -> TaskProfile:
+        """Stamp ``record`` with its shape's profile and return it."""
+        request = record.request
         key = (request.workload, request.batch_size, request.interface)
         profile = self._profiles.get(key)
         if profile is None:
             probe = self._build_workload(request)
             profile = profile_side_task(probe, interface=request.interface)
             self._profiles[key] = profile
+        record.profile = profile
         return profile
 
     # -- observability seams --------------------------------------------
@@ -547,6 +555,7 @@ class ServingFrontend:
                 self._fold(record)
             return
         record.admitted_at = now
+        self._profile_of(record)
         self.queue.append(record)
         self._m_admitted.add()
         self._m_queue_depth.set(len(self.queue), now)
@@ -666,45 +675,47 @@ class ServingFrontend:
     def _dispatch(self) -> None:
         """Hand queued requests to the manager while memory allows.
 
-        Requests are tried in discipline order. When no worker can fit a
-        pick that needs ``m`` GB, every queued request needing ``m`` GB
-        or more is *blocked* for the rest of this round: hidden from the
-        discipline's view but left in place in the queue. So a blocked
-        request cannot head-of-line block smaller ones, and the round
-        does not re-pick blocked requests one at a time.
+        Requests are tried in discipline order over the round's *view*
+        of the queue. When no worker can fit a pick that needs ``m`` GB,
+        the view drops every request needing ``m`` GB or more for the
+        rest of this round; they stay in place in the queue. So a
+        blocked request cannot head-of-line block smaller ones, and the
+        round does not re-pick blocked requests one at a time. A pick
+        the assignment policy declines also leaves the view, not the
+        queue.
 
         The prune relies on one condition: within a round, eligibility
         only shrinks. A worker's free memory is its bubble memory minus
         its reservations, and a round only adds reservations, so a
         request needing ``m`` GB or more would be blocked when picked.
+        So a blocked pick filters the current view, not the queue: what
+        the view already dropped would not be dispatched this round.
 
-        The round's first pick sees the whole queue, so tenant-aware
-        disciplines see every tenant's backlog. Views keep queue order:
-        arrival order, except that :meth:`_requeue` appends retries at
-        the tail, so ties break by queue position. Blocked requests are
-        retried when a task terminates and returns its memory.
+        The view is the queue itself until the round first drops a
+        request, so the round's first pick sees the whole queue and
+        tenant-aware disciplines see every tenant's backlog. Views keep
+        queue order: arrival order, except that :meth:`_requeue` appends
+        retries at the tail, so ties break by queue position. A
+        dispatched request leaves the view and the queue by position.
+        Blocked requests are retried when a task terminates and returns
+        its memory.
         """
         # Stateful weighted-fair disciplines are charged per *successful*
         # dispatch, so a pick blocked for lack of memory costs its
         # tenant nothing.
         charge = getattr(self.discipline, "on_dispatch", None)
-        limit_gb = float("inf")
-        blocked: "set[int]" = set()
-        while True:
-            view = (self.queue if limit_gb == float("inf") and not blocked
-                    else [record for record in self.queue
-                          if id(record) not in blocked
-                          and self._profile_for(record.request)
-                          .gpu_memory_gb < limit_gb])
-            if not view:
-                break
+        queue = self.queue
+        view = queue
+        while view:
             index = self.discipline(view, self.sim.now)
             record = view[index]
             request = record.request
-            profile = self._profile_for(request)
-            if not self.freeride.manager.eligible_workers(
-                    profile.gpu_memory_gb):
-                limit_gb = profile.gpu_memory_gb
+            profile = record.profile or self._profile_of(record)
+            memory_gb = profile.gpu_memory_gb
+            if not self.freeride.manager.eligible_workers(memory_gb):
+                view = [other for other in view
+                        if (other.profile or self._profile_of(other))
+                        .gpu_memory_gb < memory_gb]
                 continue
             name = request.name
             if record.attempts > 0:
@@ -718,19 +729,28 @@ class ServingFrontend:
                 name=name,
                 slo_class=request.slo_class,
                 deadline_s=record.deadline_s,
-                queue_depth=len(self.queue) - 1,
+                queue_depth=len(queue) - 1,
                 checkpoint=self.checkpoint,
             )
-            if spec is None:  # pragma: no cover - eligibility checked above
-                blocked.add(id(record))
+            if spec is None:
+                # The assignment policy declined a pick some worker fits.
+                view = view[:index] + view[index + 1:]
                 continue
-            self.queue.remove(record)
+            if view is queue:
+                del queue[index]
+            else:
+                # The view is an ordered subsequence of the queue, so the
+                # record sits at ``index`` or later there.
+                del view[index]
+                while queue[index] is not record:
+                    index += 1
+                del queue[index]
             record.assigned_at = self.sim.now
             record.spec = spec
             record.attempts += 1
             self._by_spec[id(spec)] = record
             self._m_dispatched.add()
-            self._m_queue_depth.set(len(self.queue), self.sim.now)
+            self._m_queue_depth.set(len(queue), self.sim.now)
             if self.trace.enabled:
                 queued_from = self._queued_since.pop(
                     id(record), record.request.arrival_s

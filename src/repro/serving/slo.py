@@ -16,6 +16,7 @@ urgency instead of letting deadline traffic bury them forever.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,13 +99,16 @@ def fifo_discipline(queue, now: float) -> int:
 def edf_discipline(queue, now: float) -> int:
     """Dispatch the earliest absolute deadline; queue order among equals.
 
-    ``min`` returns the first of equal keys, so ties (including all
-    best-effort requests) break by queue position. That is arrival
-    order, except that the frontend appends a retried request at the
-    tail, behind requests that arrived after it.
+    Best-effort requests sort last, at +inf (the records'
+    ``effective_deadline``, read inline: this runs once per queued
+    request per pick). ``index`` returns the first occurrence of the
+    minimum, so ties (including all best-effort requests) break by queue
+    position. That is arrival order, except that the frontend appends a
+    retried request at the tail, behind requests that arrived after it.
     """
-    return min(range(len(queue)),
-               key=lambda i: (queue[i].effective_deadline, i))
+    deadlines = [math.inf if record.deadline_s is None
+                 else record.deadline_s for record in queue]
+    return deadlines.index(min(deadlines))
 
 
 def starvation_aware_discipline(queue, now: float) -> int:
@@ -113,14 +117,15 @@ def starvation_aware_discipline(queue, now: float) -> int:
     A best-effort request that has waited long enough eventually
     undercuts fresh deadline traffic, bounding its starvation; deadline
     requests keep their relative EDF order because aging applies equally
-    to requests that arrived together.
+    to requests that arrived together. Ties break by queue position, as
+    in :func:`edf_discipline`.
     """
-    def key(i: int):
-        record = queue[i]
-        waited = now - record.request.arrival_s
-        return (_ageable_deadline(record) - AGING_WEIGHT * waited, i)
-
-    return min(range(len(queue)), key=key)
+    deadlines = [
+        _ageable_deadline(record)
+        - AGING_WEIGHT * (now - record.request.arrival_s)
+        for record in queue
+    ]
+    return deadlines.index(min(deadlines))
 
 
 NAMED_DISCIPLINES: dict[str, QueueDiscipline] = {

@@ -7,8 +7,9 @@ The contract under test:
   accumulators fold the same records the list-based fold would, just
   one at a time);
 * latency means/extremes are exact; the tracked quantiles (p50/p95/p99)
-  come from P² sketches and must sit within a 5% relative error bound
-  of the exact fold on the 10^4-sample reference run;
+  come from P² sketches and sit within a 5% relative error bound of
+  the exact fold on the 10^4-sample reference run, except p99 on one
+  of twenty seeds (the pinned, documented failure);
 * streaming runs are exactly as deterministic as records runs —
   serial vs process-pool sweeps are byte-identical;
 * ``ServingResult.records`` is empty by design in streaming mode.
@@ -120,17 +121,24 @@ class TestStreamingParity:
         assert ref["retries"] > 0 or ref["failed_requests"] > 0
 
 
+def _reference_run(seed: int):
+    """The exact fold and the sketches over 10^4 lognormal(σ=1) samples."""
+    rng = random.Random(seed)
+    exact = LatencyStats()
+    sketch = StreamingLatencyStats()
+    for _ in range(10_000):
+        sample = rng.lognormvariate(0.0, 1.0)
+        exact.observe(sample)
+        sketch.observe(sample)
+    return exact, sketch
+
+
 class TestSketchAccuracy:
     def test_quantiles_within_bound_on_reference_run(self):
         """10^4 lognormal samples: tracked quantiles within 5% relative
-        error of the exact interpolated fold (the documented bound)."""
-        rng = random.Random(0)
-        exact = LatencyStats()
-        sketch = StreamingLatencyStats()
-        for _ in range(10_000):
-            sample = rng.lognormvariate(0.0, 1.0)
-            exact.observe(sample)
-            sketch.observe(sample)
+        error of the exact interpolated fold (the documented bound) on
+        seed 0; the next test covers twenty seeds."""
+        exact, sketch = _reference_run(0)
         for q in (0.50, 0.95, 0.99):
             assert sketch.quantile(q) == \
                 pytest.approx(exact.quantile(q), rel=0.05)
@@ -138,6 +146,24 @@ class TestSketchAccuracy:
         assert sketch.mean == pytest.approx(exact.mean, rel=1e-12)
         assert sketch.quantile(0.0) == exact.quantile(0.0)
         assert sketch.quantile(1.0) == exact.quantile(1.0)
+
+    def test_reference_stream_over_twenty_seeds(self):
+        """Over seeds 0-19 the bound holds on every seed for p50 (worst
+        0.6%) and p95 (worst 2.4%), and for p99 on every seed but 9,
+        where the sketch is 7.1% off: the documented failure, pinned as
+        in ``tests/metrics/test_p2_bound.py``."""
+        errors = {}
+        for seed in range(20):
+            exact, sketch = _reference_run(seed)
+            errors[seed] = {
+                q: abs(sketch.quantile(q) - exact.quantile(q))
+                / exact.quantile(q)
+                for q in (0.50, 0.95, 0.99)}
+        for q in (0.50, 0.95):
+            assert max(error[q] for error in errors.values()) <= 0.05, q
+        assert [seed for seed, error in errors.items()
+                if error[0.99] > 0.05] == [9]
+        assert errors[9][0.99] == pytest.approx(0.0714, abs=5e-4)
 
     def test_untracked_quantile_raises(self):
         sketch = StreamingLatencyStats()
