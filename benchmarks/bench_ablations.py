@@ -5,10 +5,8 @@ from __future__ import annotations
 from repro.experiments import ablations
 
 
-def test_grace_period_ablation(benchmark, record_output):
-    rows = benchmark.pedantic(ablations.grace_sweep,
-                              (ablations.default_spec(),),
-                              rounds=1, iterations=1)
+def test_grace_period_ablation(record_output):
+    rows = ablations.grace_sweep(ablations.default_spec())
     record_output("ablation_grace", str(rows))
     # Every grace period eventually kills the runaway task...
     assert all(row["killed"] for row in rows)
@@ -19,10 +17,8 @@ def test_grace_period_ablation(benchmark, record_output):
         assert row["trespass_s"] >= row["grace_s"] - 0.05
 
 
-def test_rpc_latency_ablation(benchmark, record_output):
-    rows = benchmark.pedantic(ablations.rpc_latency_sweep,
-                              (ablations.default_spec(),),
-                              rounds=1, iterations=1)
+def test_rpc_latency_ablation(record_output):
+    rows = ablations.rpc_latency_sweep(ablations.default_spec())
     record_output("ablation_rpc", str(rows))
     # Slower RPCs harvest less work.
     assert rows[0]["units"] >= rows[-1]["units"]
@@ -30,10 +26,8 @@ def test_rpc_latency_ablation(benchmark, record_output):
     assert all(row["time_increase"] < 0.05 for row in rows)
 
 
-def test_policy_ablation(benchmark, record_output):
-    rows = benchmark.pedantic(ablations.policy_sweep,
-                              (ablations.default_spec(),),
-                              rounds=1, iterations=1)
+def test_policy_ablation(record_output):
+    rows = ablations.policy_sweep(ablations.default_spec())
     record_output("ablation_policy", str(rows))
     by_name = {row["policy"]: row for row in rows}
     # The paper's least-loaded rule spreads tasks across workers...
@@ -43,10 +37,8 @@ def test_policy_ablation(benchmark, record_output):
             <= by_name["least_loaded"]["distinct_workers"])
 
 
-def test_step_granularity_ablation(benchmark, record_output):
-    rows = benchmark.pedantic(ablations.granularity_sweep,
-                              (ablations.default_spec(),),
-                              rounds=1, iterations=1)
+def test_step_granularity_ablation(record_output):
+    rows = ablations.granularity_sweep(ablations.default_spec())
     record_output("ablation_step", str(rows))
     # Finer steps -> more interface overhead; coarser -> more bubble-tail
     # waste (Figure 9's PageRank-vs-SGD effect, made explicit).
@@ -54,10 +46,8 @@ def test_step_granularity_ablation(benchmark, record_output):
     assert rows[-1]["insufficient_s"] > rows[0]["insufficient_s"]
 
 
-def test_schedule_ablation(benchmark, record_output):
-    rows = benchmark.pedantic(ablations.schedule_sweep,
-                              (ablations.default_spec(),),
-                              rounds=1, iterations=1)
+def test_schedule_ablation(record_output):
+    rows = ablations.schedule_sweep(ablations.default_spec())
     record_output("ablation_schedule", str(rows))
     by_name = {row["schedule"]: row for row in rows}
     # Both schedules leave large bubbles; 1F1B is what the paper measures.

@@ -5,10 +5,8 @@ from __future__ import annotations
 from repro.experiments import fig1
 
 
-def test_fig1(benchmark, record_output):
-    data = benchmark.pedantic(
-        lambda: fig1.run_spec(fig1.default_spec()),
-        rounds=1, iterations=1)
+def test_fig1(record_output):
+    data = fig1.run_spec(fig1.default_spec())
     record_output("fig1", fig1.render(data))
     stages = {row["stage"]: row for row in data["stages"]}
     # The paper's Figure 1 annotations, verbatim.

@@ -5,10 +5,8 @@ from __future__ import annotations
 from repro.experiments import fig2
 
 
-def test_fig2(benchmark, record_output):
-    data = benchmark.pedantic(
-        lambda: fig2.run_spec(fig2.default_spec()),
-        rounds=1, iterations=1)
+def test_fig2(record_output):
+    data = fig2.run_spec(fig2.default_spec())
     record_output("fig2", fig2.render(data))
     rows = {row["model"]: row for row in data["by_model"]}
     # Bubble rate: 42.4% at 1.2B, falling only slightly to ~40% at 6B.

@@ -5,9 +5,8 @@ from __future__ import annotations
 from repro.experiments import fig7
 
 
-def test_fig7_batch_sizes(benchmark, record_output):
-    points = benchmark.pedantic(fig7.batch_sweep, (fig7.default_spec(),),
-                                rounds=1, iterations=1)
+def test_fig7_batch_sizes(record_output):
+    points = fig7.batch_sweep(fig7.default_spec())
     record_output(
         "fig7_batch",
         fig7._sweep_table("Figure 7(a,b): varying side-task batch size",
@@ -23,10 +22,8 @@ def test_fig7_batch_sizes(benchmark, record_output):
     assert ("resnet18", 128) not in oom
 
 
-def test_fig7_model_sizes(benchmark, record_output):
-    points = benchmark.pedantic(fig7.model_size_sweep,
-                                (fig7.default_spec(),),
-                                rounds=1, iterations=1)
+def test_fig7_model_sizes(record_output):
+    points = fig7.model_size_sweep(fig7.default_spec())
     record_output(
         "fig7_model",
         fig7._sweep_table("Figure 7(c,d): varying model size", points,
@@ -45,10 +42,8 @@ def test_fig7_model_sizes(benchmark, record_output):
     assert falling >= 4
 
 
-def test_fig7_micro_batches(benchmark, record_output):
-    points = benchmark.pedantic(fig7.micro_batch_sweep,
-                                (fig7.default_spec(),),
-                                rounds=1, iterations=1)
+def test_fig7_micro_batches(record_output):
+    points = fig7.micro_batch_sweep(fig7.default_spec())
     record_output(
         "fig7_micro",
         fig7._sweep_table("Figure 7(e,f): varying micro-batch number",

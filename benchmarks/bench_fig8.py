@@ -7,10 +7,8 @@ import pytest
 from repro.experiments import fig8
 
 
-def test_fig8(benchmark, record_output):
-    data = benchmark.pedantic(
-        lambda: fig8.run_spec(fig8.default_spec()),
-        rounds=1, iterations=1)
+def test_fig8(record_output):
+    data = fig8.run_spec(fig8.default_spec())
     record_output("fig8", fig8.render(data))
 
     time_limit = data["time_limit"]

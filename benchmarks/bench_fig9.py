@@ -5,10 +5,8 @@ from __future__ import annotations
 from repro.experiments import fig9
 
 
-def test_fig9(benchmark, record_output):
-    data = benchmark.pedantic(
-        lambda: fig9.run_spec(fig9.default_spec()),
-        rounds=1, iterations=1)
+def test_fig9(record_output):
+    data = fig9.run_spec(fig9.default_spec())
     record_output("fig9", fig9.render(data))
     rows = {row["task"]: row for row in data["rows"]}
 

@@ -5,12 +5,19 @@ near-free when tracing is disabled (every seam is one ``trace.enabled``
 check) and cheap when enabled (emission is a list append plus a clock
 read). This benchmark runs one serving point both ways and records the
 ratio; the enabled-path budget is asserted here, and the disabled path
-is covered by ``bench_serve``'s wall time against the committed
-baseline (``scripts/perf_guard.py``).
+is covered by perfbench's ``serve`` workload, whose scenarios run
+untraced (``perfbench/run.py --workload serve``).
+
+Each run is timed in CPU seconds of this process
+(``time.process_time``), after a garbage collection, as perfbench
+times its runs: the simulation is single-threaded, and unlike wall
+time, CPU time leaves out the time other processes on a shared host
+hold the CPU.
 """
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 
@@ -40,27 +47,28 @@ def _point(trace: bool):
 
 
 def _run(spec) -> float:
-    start = time.perf_counter()
+    # Collect the previous run's garbage first, so a collection it
+    # triggers is not charged to this run (a traced run leaves many
+    # spans behind).
+    gc.collect()
+    start = time.process_time()
     Session(spec).run().results()
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
-def test_obs_overhead(benchmark, record_output):
+def test_obs_overhead(record_output):
     off_spec, on_spec = _point(trace=False), _point(trace=True)
     # Warm the workload/baseline caches outside the timed region so
     # both modes measure pure simulation.
     _run(off_spec)
 
-    def measure():
-        # Interleave the modes so clock drift and CI noisy neighbors
-        # hit both medians equally.
-        offs, ons = [], []
-        for _ in range(ROUNDS):
-            offs.append(_run(off_spec))
-            ons.append(_run(on_spec))
-        return statistics.median(offs), statistics.median(ons)
-
-    off_s, on_s = benchmark.pedantic(measure, rounds=1, iterations=1)
+    # Interleave the modes so clock drift and CI noisy neighbors hit
+    # both medians equally.
+    offs, ons = [], []
+    for _ in range(ROUNDS):
+        offs.append(_run(off_spec))
+        ons.append(_run(on_spec))
+    off_s, on_s = statistics.median(offs), statistics.median(ons)
     ratio = on_s / off_s if off_s > 0 else 1.0
 
     spans = Session(on_spec).run().runner.trace_result.span_count

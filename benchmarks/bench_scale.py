@@ -1,19 +1,21 @@
-"""Benchmark: the serving scale ladder (events/s + peak RSS per tier).
+"""Benchmark: serving memory stays flat in the offered load.
 
-Runs ``python -m repro.serving.scale`` at 10^5, 10^6 and 10^7 offered
-requests — each tier in a **fresh subprocess**, because peak RSS is a
-process-lifetime high-water mark and would otherwise be smeared across
-tiers. The per-tier JSON digests land in ``benchmarks/out/
-scale_ladder.json`` and the rendered table in ``scale_ladder.txt``.
+Runs the perfbench ``serve`` shape (Poisson traffic, EDF worker
+assignment, always-admit, a 64-deep queue) through ``Session`` at 32
+training epochs in ``metrics.mode = streaming``, at two arrival rates:
+about 10^5 and 10^6 offered requests over the same training run. Each
+tier runs in a fresh subprocess and reads its own peak RSS.
 
-The ladder's point is the RSS column: in streaming metrics mode, memory
-must *not* scale with the request count (constant-memory sketches +
-chunked arrival generation + settled-record dropping), so the 10^6 tier
-is asserted to stay within 1.5x of the 10^5 tier's peak RSS.
+The frontend takes its arrival stream one chunk at a time, and streaming
+mode folds each request at its terminal outcome and drops it, so the
+10^6 tier's peak RSS must stay within 1.5x the 10^5 tier's. The training
+length is fixed, so the pool admits about as many requests in both
+tiers (their runtimes stay in ``worker.all_tasks`` until the run ends);
+the extra load of the larger tier is rejected at the full queue and must
+cost no memory. Both tiers must also conserve requests.
 
-Set ``REPRO_SCALE_TIERS`` (comma-separated request counts) to trim the
-ladder — CI smoke runs only the 10^5 tier; the full 10^7 rung takes a
-few minutes and is meant for the reference machine.
+One tier by hand: ``PYTHONPATH=src python benchmarks/bench_scale.py
+720`` prints its JSON row.
 """
 
 from __future__ import annotations
@@ -21,72 +23,126 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import time
 
-from repro.sim.engine import add_foreign_events
+from repro.api.session import Session
+from repro.api.spec import (
+    ArrivalSpec,
+    MetricsSpec,
+    PolicySpec,
+    ScenarioSpec,
+    TrainingSpec,
+)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_TIERS = (100_000, 1_000_000, 10_000_000)
+#: training epochs of both tiers (about 138 s of simulated time open to
+#: traffic)
+EPOCHS = 32
+#: arrival rates (requests/s) giving about 10^5 and 10^6 offered requests
+TIERS = (720.0, 7200.0)
+#: the 10^6 tier's peak RSS may be at most this multiple of the 10^5
+#: tier's
+RSS_BOUND = 1.5
 
 
-def _tiers() -> tuple[int, ...]:
-    spec = os.environ.get("REPRO_SCALE_TIERS", "").strip()
-    if not spec:
-        return DEFAULT_TIERS
-    return tuple(int(field) for field in spec.replace(",", " ").split())
+def run_tier(rate_per_s: float) -> dict:
+    """One tier in this process: request counts, CPU time, peak RSS."""
+    spec = ScenarioSpec(
+        name="scale",
+        kind="serving",
+        seed=1,
+        training=TrainingSpec(epochs=EPOCHS),
+        arrivals=ArrivalSpec(kind="poisson", rate_per_s=rate_per_s),
+        policy=PolicySpec(assignment="edf", admission="always"),
+        metrics=MetricsSpec(mode="streaming"),
+    )
+    start = time.process_time()
+    metrics = Session(spec).run().results().metrics
+    cpu_s = time.process_time() - start
+    return {
+        "rate_per_s": rate_per_s,
+        "offered": metrics.offered,
+        "admitted": metrics.admitted,
+        "rejected": metrics.rejected,
+        "completed": metrics.completed,
+        "failed": metrics.failed,
+        "unserved": metrics.unserved,
+        "cpu_s": round(cpu_s, 3),
+        "peak_rss_bytes": peak_rss_bytes(),
+    }
 
 
-def _run_tier(requests: int) -> dict:
+def peak_rss_bytes() -> int:
+    """This program's peak resident set size.
+
+    Linux's ``VmHWM`` is the peak of this program's own memory. A spawned
+    process's ``ru_maxrss`` also counts the memory of the process that
+    spawned it (a pytest run that has built every figure, say), so it is
+    only the fallback.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is kilobytes on Linux, bytes on macOS.
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
+def _run_in_subprocess(rate_per_s: float) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
     completed = subprocess.run(
-        [sys.executable, "-m", "repro.serving.scale",
-         "--requests", str(requests), "--json"],
+        [sys.executable, __file__, repr(rate_per_s)],
         capture_output=True, text=True, check=True, env=env,
     )
-    return json.loads(completed.stdout)
+    return json.loads(completed.stdout.splitlines()[-1])
 
 
 def _render(rows: list[dict]) -> str:
     lines = [
-        "serving scale ladder (streaming metrics, vectorized arrivals)",
-        f"{'requests':>10}  {'events':>10}  {'events/s':>10}  "
-        f"{'peak RSS':>9}  {'wait p99':>9}",
+        f"serving memory against offered load ({EPOCHS} epochs, "
+        "streaming metrics)",
+        f"{'rate/s':>8}  {'offered':>9}  {'admitted':>8}  "
+        f"{'completed':>9}  {'CPU':>7}  {'peak RSS':>9}",
     ]
     for row in rows:
         lines.append(
-            f"{row['offered']:>10,}  {row['events']:>10,}  "
-            f"{row['events_per_s']:>10,.0f}  "
-            f"{row['peak_rss_bytes'] / 1e6:>7.1f}MB  "
-            f"{row['wait']['p99']:>8.4f}s"
+            f"{row['rate_per_s']:>8,.0f}  {row['offered']:>9,}  "
+            f"{row['admitted']:>8,}  {row['completed']:>9,}  "
+            f"{row['cpu_s']:>6.1f}s  "
+            f"{row['peak_rss_bytes'] / 1e6:>7.1f}MB"
         )
     return "\n".join(lines)
 
 
-def test_scale_ladder(record_output, out_dir):
-    rows = [_run_tier(requests) for requests in _tiers()]
-    for row in rows:
-        # The tiers ran in subprocesses; fold their event counts into
-        # this process's total so BENCH_test_scale_ladder.json reports
-        # real ladder throughput instead of zero events.
-        add_foreign_events(row["events"])
-
+def test_memory_is_flat_in_offered_requests(record_output, out_dir):
+    rows = [_run_in_subprocess(rate) for rate in TIERS]
     (out_dir / "scale_ladder.json").write_text(
         json.dumps(rows, indent=2) + "\n")
     record_output("scale_ladder", _render(rows))
 
-    by_requests = {row["requests"]: row for row in rows}
+    small, big = rows
+    assert small["offered"] > 90_000 and big["offered"] > 900_000
     for row in rows:
-        assert row["completed"] > 0.9 * row["requests"]
-    # Flat-RSS contract: 10x the requests must not grow resident memory
-    # beyond measurement noise (subprocesses start from identical state).
-    small = by_requests.get(100_000)
-    for tier in (1_000_000, 10_000_000):
-        big = by_requests.get(tier)
-        if small and big:
-            assert big["peak_rss_bytes"] <= 1.5 * small["peak_rss_bytes"], (
-                f"peak RSS grew {big['peak_rss_bytes'] / small['peak_rss_bytes']:.2f}x "
-                f"from 10^5 to {tier} requests; streaming mode should be flat"
-            )
+        assert row["offered"] == row["admitted"] + row["rejected"], row
+        assert row["admitted"] == (row["completed"] + row["failed"]
+                                   + row["unserved"]), row
+        assert row["completed"] > 0, row
+    ratio = big["peak_rss_bytes"] / small["peak_rss_bytes"]
+    assert ratio <= RSS_BOUND, (
+        f"peak RSS grew {ratio:.2f}x from {small['offered']:,} to "
+        f"{big['offered']:,} offered requests; streaming mode should be "
+        "flat"
+    )
+
+
+if __name__ == "__main__":
+    print(json.dumps(run_tier(float(sys.argv[1]))))

@@ -5,10 +5,8 @@ from __future__ import annotations
 from repro.experiments import serve
 
 
-def test_serve(benchmark, record_output):
-    data = benchmark.pedantic(
-        lambda: serve.run_spec(serve.default_spec()),
-        rounds=1, iterations=1)
+def test_serve(record_output):
+    data = serve.run_spec(serve.default_spec())
     record_output("serve", serve.render(data))
 
     rows = data["rows"]

@@ -5,10 +5,8 @@ from __future__ import annotations
 from repro.experiments import table1
 
 
-def test_table1(benchmark, record_output):
-    data = benchmark.pedantic(
-        lambda: table1.run_spec(table1.default_spec()),
-        rounds=1, iterations=1)
+def test_table1(record_output):
+    data = table1.run_spec(table1.default_spec())
     record_output("table1", table1.render(data))
     rows = {row.name: row for row in data["rows"]}
     # Paper: 1.06-2.82x a standalone Server-II, 7-59.9x the CPU server.

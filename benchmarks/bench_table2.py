@@ -13,10 +13,8 @@ import statistics
 from repro.experiments import table2
 
 
-def test_table2(benchmark, record_output):
-    data = benchmark.pedantic(
-        lambda: table2.run_spec(table2.default_spec()),
-        rounds=1, iterations=1)
+def test_table2(record_output):
+    data = table2.run_spec(table2.default_spec())
     record_output("table2", table2.render(data))
     cells = {(cell.task, cell.method): cell for cell in data["cells"]}
     tasks = [cell.task for cell in data["cells"] if cell.method == "iterative"]

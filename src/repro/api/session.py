@@ -167,8 +167,8 @@ class PoolRunner:
             self.injector.arm(self.pool)
 
     def _open_frontend(self) -> None:
-        """Put the admission frontend in front of the pool, fed with the
-        arrivals of the open window: the constructor's process, the
+        """Put the admission frontend in front of the pool, streaming it
+        the arrivals of the open window: the constructor's process, the
         tenants' merged streams, or the spec's ``arrivals`` section."""
         from repro.serving.frontend import ServingFrontend
 
@@ -186,7 +186,7 @@ class PoolRunner:
         }
         self.frontend = ServingFrontend(
             self.pool,
-            arrivals.generate(self._open_horizon),
+            arrivals.stream(self._open_horizon),
             admission=spec.policy.admission,
             discipline=spec.policy.discipline,
             queue_capacity=spec.policy.queue_capacity,

@@ -315,11 +315,6 @@ class ArrivalSpec(SpecBase):
     kind: str = "poisson"
     rate_per_s: float = 2.0
     mix: "tuple[MixEntrySpec, ...]" = dataclasses.field(default_factory=default_mix)
-    #: opt into chunked numpy stream generation (same seeds, bit-exact
-    #: template picks, arrival times equal to the scalar reference
-    #: within ulps — see :mod:`repro.serving.arrivals`); the scalar
-    #: default keeps existing scenarios byte-identical
-    vectorized: bool = False
 
     def __post_init__(self):
         from repro.serving.arrivals import NAMED_ARRIVALS
@@ -344,7 +339,6 @@ class ArrivalSpec(SpecBase):
         return make_arrivals(
             self.kind, self.rate_per_s, seed=seed,
             mix=tuple(entry.to_template() for entry in self.mix),
-            vectorized=self.vectorized,
         )
 
     @classmethod

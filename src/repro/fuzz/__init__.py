@@ -5,7 +5,7 @@ the declarative spec language itself into a test generator. A seeded,
 pure-function-of-one-integer generator draws random-but-reproducible
 :class:`~repro.api.spec.ScenarioSpec`s across every scenario kind and
 interacting knob (tenants x faults x retries x streaming metrics x
-vectorized arrivals x policies); an invariant registry
+arrival kinds x policies); an invariant registry
 asserts global properties that must hold for *every* valid scenario
 (conservation of requests, terminal states, fairness bounds,
 availability, wasted-work accounting); a differential harness re-runs

@@ -83,12 +83,12 @@ def _draw_arrivals(rng: random.Random) -> ArrivalSpec:
     kwargs: dict = {}
     if rng.random() < 0.5:
         kwargs["mix"] = _draw_mix_entries(rng)
-    return ArrivalSpec(
-        kind=rng.choice(sorted(NAMED_ARRIVALS)),
-        rate_per_s=_round(rng.uniform(0.5, 6.0)),
-        vectorized=rng.random() < 0.25,
-        **kwargs,
-    )
+    kind = rng.choice(sorted(NAMED_ARRIVALS))
+    rate_per_s = _round(rng.uniform(0.5, 6.0))
+    # A retired coin (it once picked numpy arrival generation), still
+    # drawn so every later draw of the spec keeps its value.
+    rng.random()
+    return ArrivalSpec(kind=kind, rate_per_s=rate_per_s, **kwargs)
 
 
 def _draw_mix_entries(rng: random.Random) -> "tuple[MixEntrySpec, ...]":

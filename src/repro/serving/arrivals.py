@@ -5,44 +5,26 @@ multi-user service instead sees an *open-loop* request stream whose
 arrival times do not depend on how fast the system drains them. This
 module generates such streams — seeded Poisson, bursty (Markov-modulated
 Poisson), diurnal (time-varying rate via thinning), and trace replay —
-as plain lists of timestamped :class:`TaskRequest` records, which the
-frontend schedules into the simulation before the run starts.
+as lazy streams of timestamped :class:`TaskRequest` records
+(:meth:`ArrivalProcess.stream`), which the frontend takes a chunk at a
+time, so a run holds one chunk of future requests, not the whole
+stream.
 
-Pre-generating the whole stream is exactly what open-loop means (the
-times are independent of system state) and keeps every run byte-for-byte
-deterministic: all randomness derives from the generator's explicit seed,
-never from process-global counters.
-
-Two generation paths share one seed discipline:
-
-* the **scalar** path (default) draws one ``random.Random`` variate per
-  event — the seeded reference every golden test pins;
-* the **vectorized** path (``vectorized=True`` / spec knob
-  ``arrivals.vectorized``) draws whole chunks of uniforms from a numpy
-  ``RandomState`` carrying *the same Mersenne Twister state* as the
-  scalar stream (:meth:`repro.sim.rng.RandomStreams.numpy_stream`), so
-  the uniform sequence is bit-identical and template selection is
-  bit-exact. Arrival *times* can differ from the scalar path in the
-  last ulp (numpy's ``log``/``sin`` need not round like libm's), which
-  is why the knob is an opt-in rather than a silent swap; equivalence
-  is pinned by count-exact + 1e-12-relative tests and golden hashes.
-  :meth:`ArrivalProcess.iter_time_chunks` exposes the stream as
-  bounded-memory numpy chunks for 10^6–10^7-request scale runs.
+The times are independent of system state (that is what open-loop
+means), and every run is byte-for-byte deterministic: all randomness
+derives from the generator's explicit seed, never from process-global
+counters. Arrival gaps, phase dwells, thinning and mix picks each draw
+from their own named stream, so generating lazily, interleaved with the
+run, draws exactly the values generating up front would.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import typing
 
 from repro.sim.rng import RandomStreams
-
-#: default block size (uniform draws per numpy call) for the vectorized
-#: generators — large enough to amortize per-call overhead, small enough
-#: that a chunk is a few hundred KB
-CHUNK_SIZE = 16384
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,102 +76,23 @@ class TaskRequest:
         return f"{self.workload}-r{self.request_id}"
 
 
-class _UnitExpChunks:
-    """Chunked standard-exponential draws with carry-over.
-
-    Pulls uniforms from a numpy stream in blocks and exposes them as
-    unit-rate exponential variates ``-log(1 - u)`` — the same recipe as
-    ``random.Random.expovariate`` — behind an index pointer, so a
-    consumer (say, one MMPP phase) can take *exactly* as many draws as
-    its scalar counterpart would and leave the rest, still valid, for
-    the next consumer at a different rate. Uniform draws are
-    rate-independent; only the final division by the rate is.
-    """
-
-    __slots__ = ("_stream", "_chunk", "_buf", "_pos")
-
-    def __init__(self, stream, chunk_size: int):
-        self._stream = stream
-        self._chunk = max(1, int(chunk_size))
-        self._buf = None
-        self._pos = 0
-
-    def peek(self):
-        """The current block of unconsumed unit-exponential draws."""
-        import numpy as np
-
-        if self._buf is None or self._pos >= len(self._buf):
-            self._buf = -np.log(1.0 - self._stream.random_sample(self._chunk))
-            self._pos = 0
-        return self._buf[self._pos:]
-
-    def consume(self, n: int) -> None:
-        self._pos += n
-
-
-def _sequential_cumsum(base: float, gaps):
-    """``base + gap_0``, ``base + gap_0 + gap_1``, … with the *same*
-    left-to-right float-addition order as a scalar ``now += gap`` loop
-    (numpy's 1-D cumsum accumulates sequentially, not pairwise)."""
-    import numpy as np
-
-    return np.cumsum(np.concatenate(([base], gaps)))[1:]
-
-
 class ArrivalProcess:
     """Base class: template mixing + request assembly over arrival times."""
 
     def __init__(self, mix: typing.Sequence[RequestTemplate] = DEFAULT_MIX,
-                 seed: int = 0, vectorized: bool = False):
+                 seed: int = 0):
         if not mix:
             raise ValueError("arrival mix must contain at least one template")
         self.mix = tuple(mix)
         self.seed = seed
-        self.vectorized = bool(vectorized)
 
     # -- subclass API ---------------------------------------------------
-    def arrival_times(self, horizon_s: float) -> list[float]:
-        """Strictly increasing arrival instants in [0, horizon)."""
-        if self.vectorized:
-            times: list[float] = []
-            for chunk in self.iter_time_chunks(horizon_s):
-                times.extend(chunk.tolist())
-            return times
-        return self._scalar_times(horizon_s)
-
-    def _scalar_times(self, horizon_s: float) -> list[float]:
-        """The one-draw-per-event reference generator."""
+    def _entries(
+        self, horizon_s: float,
+    ) -> "typing.Iterator[tuple[float, RequestTemplate | None]]":
+        """``(arrival, template-or-None)`` pairs in [0, horizon), in
+        arrival order; ``None`` templates are drawn from the mix."""
         raise NotImplementedError
-
-    def _vectorized_chunks(
-        self, horizon_s: float, chunk_size: int,
-    ) -> "typing.Iterator":
-        """Yield arrival instants as numpy arrays (subclass hook)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no vectorized generator"
-        )
-
-    def iter_time_chunks(
-        self, horizon_s: float, chunk_size: int = CHUNK_SIZE,
-    ) -> "typing.Iterator":
-        """Arrival instants in [0, horizon) as a stream of numpy arrays.
-
-        Vectorized processes generate chunk-by-chunk, so memory stays
-        bounded by ``chunk_size`` at any horizon — this is the interface
-        the scale harness feeds from. Scalar processes fall back to
-        slicing the fully materialized list (same values, no memory
-        bound), keeping the two paths interchangeable for callers.
-        """
-        import numpy as np
-
-        if horizon_s <= 0:
-            return
-        if self.vectorized:
-            yield from self._vectorized_chunks(horizon_s, chunk_size)
-            return
-        times = self._scalar_times(horizon_s)
-        for start in range(0, len(times), chunk_size):
-            yield np.asarray(times[start:start + chunk_size], dtype=float)
 
     def _streams(self) -> RandomStreams:
         """A fresh stream factory, re-derived from the seed on every
@@ -199,20 +102,22 @@ class ArrivalProcess:
         on identical offered load."""
         return RandomStreams(self.seed)
 
-    # -- shared assembly ------------------------------------------------
-    def _assemble(
-        self,
-        entries: "typing.Iterable[tuple[float, RequestTemplate | None]]",
-    ) -> list[TaskRequest]:
-        """Stamp ``(arrival, template-or-None)`` pairs into requests;
-        ``None`` templates are drawn from the mix by weight."""
+    # -- the request stream ---------------------------------------------
+    def stream(self, horizon_s: float) -> "typing.Iterator[TaskRequest]":
+        """The request stream for one run, generated as it is consumed.
+
+        Request ids count up from 0 in arrival order; a template the
+        entry leaves open is drawn from the mix by weight.
+        """
+        if horizon_s <= 0:
+            return
         mix_stream = self._streams().stream("mix")
         weights = [template.weight for template in self.mix]
-        requests = []
-        for request_id, (arrival_s, template) in enumerate(entries):
+        for request_id, (arrival_s, template) in enumerate(
+                self._entries(horizon_s)):
             if template is None:
                 template = mix_stream.choices(self.mix, weights=weights)[0]
-            requests.append(TaskRequest(
+            yield TaskRequest(
                 request_id=request_id,
                 arrival_s=arrival_s,
                 workload=template.workload,
@@ -220,86 +125,15 @@ class ArrivalProcess:
                 slo_class=template.slo_class,
                 batch_size=template.batch_size,
                 interface=template.interface,
-            ))
-        return requests
-
-    def _pick_templates(self, count: int) -> list[RequestTemplate]:
-        """Vectorized mix selection, bit-exact versus the scalar path.
-
-        ``random.Random.choices`` draws one uniform per pick and bisects
-        the cumulative weights; with bit-identical uniforms (shared MT
-        state) the same products and the same bisection reproduce the
-        scalar template sequence exactly — this half of the vectorized
-        path needs no tolerance.
-        """
-        import numpy as np
-
-        cum = list(itertools.accumulate(
-            template.weight for template in self.mix))
-        total = cum[-1] + 0.0
-        uniforms = self._streams().numpy_stream("mix").random_sample(count)
-        picks = np.searchsorted(
-            np.asarray(cum[:-1]), uniforms * total, side="right")
-        return [self.mix[index] for index in picks.tolist()]
+            )
 
     def generate(self, horizon_s: float) -> list[TaskRequest]:
-        """The full request stream for one run."""
-        if horizon_s <= 0:
-            return []
-        if self.vectorized:
-            times = self.arrival_times(horizon_s)
-            templates = self._pick_templates(len(times))
-            return self._assemble(zip(times, templates))
-        return self._assemble(
-            (arrival_s, None) for arrival_s in self.arrival_times(horizon_s)
-        )
+        """The full request stream for one run, as a list."""
+        return list(self.stream(horizon_s))
 
-    def iter_request_chunks(
-        self, horizon_s: float, chunk_size: int = CHUNK_SIZE,
-    ) -> "typing.Iterator[list[TaskRequest]]":
-        """The request stream as bounded-memory chunks.
-
-        Yields the exact requests :meth:`generate` would produce —
-        request ids run across chunks and the mix stream persists
-        between chunks, so chunked and one-shot generation pick the
-        same templates — but (on the vectorized path) only ever holds
-        one chunk in memory. The scale harness feeds the frontend from
-        this, chunk by chunk, via
-        :meth:`~repro.serving.frontend.ServingFrontend.feed`.
-        """
-        import numpy as np
-
-        if horizon_s <= 0:
-            return
-        if not self.vectorized:
-            requests = self.generate(horizon_s)
-            for start in range(0, len(requests), chunk_size):
-                yield requests[start:start + chunk_size]
-            return
-        mix_stream = self._streams().numpy_stream("mix")
-        cum = list(itertools.accumulate(
-            template.weight for template in self.mix))
-        total = cum[-1] + 0.0
-        boundaries = np.asarray(cum[:-1])
-        request_id = 0
-        for times in self.iter_time_chunks(horizon_s, chunk_size):
-            picks = np.searchsorted(
-                boundaries, mix_stream.random_sample(times.size) * total,
-                side="right")
-            chunk = []
-            for arrival_s, pick in zip(times.tolist(), picks.tolist()):
-                template = self.mix[pick]
-                chunk.append(TaskRequest(
-                    request_id=request_id,
-                    arrival_s=arrival_s,
-                    workload=template.workload,
-                    job_steps=template.job_steps,
-                    slo_class=template.slo_class,
-                    batch_size=template.batch_size,
-                    interface=template.interface,
-                ))
-                request_id += 1
-            yield chunk
+    def arrival_times(self, horizon_s: float) -> list[float]:
+        """Increasing arrival instants in [0, horizon)."""
+        return [request.arrival_s for request in self.stream(horizon_s)]
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -307,38 +141,18 @@ class PoissonArrivals(ArrivalProcess):
 
     def __init__(self, rate_per_s: float,
                  mix: typing.Sequence[RequestTemplate] = DEFAULT_MIX,
-                 seed: int = 0, vectorized: bool = False):
+                 seed: int = 0):
         if rate_per_s <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate_per_s}")
-        super().__init__(mix, seed, vectorized)
+        super().__init__(mix, seed)
         self.rate_per_s = rate_per_s
 
-    def _scalar_times(self, horizon_s: float) -> list[float]:
+    def _entries(self, horizon_s):
         stream = self._streams().stream("gaps")
-        times = []
         now = stream.expovariate(self.rate_per_s)
         while now < horizon_s:
-            times.append(now)
+            yield now, None
             now += stream.expovariate(self.rate_per_s)
-        return times
-
-    def _vectorized_chunks(self, horizon_s, chunk_size):
-        draws = _UnitExpChunks(
-            self._streams().numpy_stream("gaps"), chunk_size)
-        rate = self.rate_per_s
-        base = 0.0
-        while True:
-            times = _sequential_cumsum(base, draws.peek() / rate)
-            beyond = (times >= horizon_s).nonzero()[0]
-            if beyond.size:
-                cut = int(beyond[0])
-                draws.consume(cut + 1)  # the crossing draw ends the stream
-                if cut:
-                    yield times[:cut]
-                return
-            draws.consume(times.size)
-            base = float(times[-1])
-            yield times
 
 
 class BurstyArrivals(ArrivalProcess):
@@ -352,12 +166,12 @@ class BurstyArrivals(ArrivalProcess):
     def __init__(self, rate_low: float, rate_high: float,
                  mean_dwell_s: float = 10.0,
                  mix: typing.Sequence[RequestTemplate] = DEFAULT_MIX,
-                 seed: int = 0, vectorized: bool = False):
+                 seed: int = 0):
         if rate_low <= 0 or rate_high <= 0:
             raise ValueError("both MMPP rates must be positive")
         if mean_dwell_s <= 0:
             raise ValueError("mean dwell time must be positive")
-        super().__init__(mix, seed, vectorized)
+        super().__init__(mix, seed)
         self.rate_low = rate_low
         self.rate_high = rate_high
         self.mean_dwell_s = mean_dwell_s
@@ -367,11 +181,10 @@ class BurstyArrivals(ArrivalProcess):
         """Long-run average rate (equal dwell in both states)."""
         return (self.rate_low + self.rate_high) / 2.0
 
-    def _scalar_times(self, horizon_s: float) -> list[float]:
+    def _entries(self, horizon_s):
         rng = self._streams()
         gaps = rng.stream("gaps")
         dwells = rng.stream("dwells")
-        times = []
         now = 0.0
         high = False
         phase_end = dwells.expovariate(1.0 / self.mean_dwell_s)
@@ -389,51 +202,7 @@ class BurstyArrivals(ArrivalProcess):
                 continue
             now += gap
             if now < horizon_s:
-                times.append(now)
-        return times
-
-    def _vectorized_chunks(self, horizon_s, chunk_size):
-        import numpy as np
-
-        rng = self._streams()
-        draws = _UnitExpChunks(rng.numpy_stream("gaps"), chunk_size)
-        dwells = rng.numpy_stream("dwells")
-        lambd = 1.0 / self.mean_dwell_s
-
-        def dwell() -> float:
-            return float(-np.log(1.0 - dwells.random_sample()) / lambd)
-
-        now = 0.0
-        high = False
-        phase_end = dwell()
-        while now < horizon_s:
-            rate = self.rate_high if high else self.rate_low
-            # Consume gap draws at the phase rate until one crosses the
-            # earlier of the phase switch and the horizon. The crossing
-            # draw is consumed-and-discarded either way, mirroring the
-            # scalar resample-at-the-boundary semantics, so both paths
-            # take identical draw counts from each stream.
-            stop = phase_end if phase_end < horizon_s else horizon_s
-            crossing = None
-            while crossing is None:
-                times = _sequential_cumsum(now, draws.peek() / rate)
-                hit = (times >= stop).nonzero()[0]
-                if hit.size:
-                    cut = int(hit[0])
-                    draws.consume(cut + 1)
-                    crossing = float(times[cut])
-                    if cut:
-                        yield times[:cut]
-                else:
-                    draws.consume(times.size)
-                    now = float(times[-1])
-                    yield times
-            if crossing >= phase_end:
-                now = phase_end
-                high = not high
-                phase_end = now + dwell()
-            else:
-                now = crossing  # crossed the horizon: outer loop exits
+                yield now, None
 
 
 class DiurnalArrivals(ArrivalProcess):
@@ -447,14 +216,14 @@ class DiurnalArrivals(ArrivalProcess):
     def __init__(self, mean_rate_per_s: float, period_s: float = 60.0,
                  amplitude: float = 0.8,
                  mix: typing.Sequence[RequestTemplate] = DEFAULT_MIX,
-                 seed: int = 0, vectorized: bool = False):
+                 seed: int = 0):
         if mean_rate_per_s <= 0:
             raise ValueError("mean arrival rate must be positive")
         if not 0.0 <= amplitude < 1.0:
             raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
         if period_s <= 0:
             raise ValueError("period must be positive")
-        super().__init__(mix, seed, vectorized)
+        super().__init__(mix, seed)
         self.mean_rate_per_s = mean_rate_per_s
         self.period_s = period_s
         self.amplitude = amplitude
@@ -463,53 +232,18 @@ class DiurnalArrivals(ArrivalProcess):
         phase = math.sin(2.0 * math.pi * t / self.period_s)
         return self.mean_rate_per_s * (1.0 + self.amplitude * phase)
 
-    def _scalar_times(self, horizon_s: float) -> list[float]:
+    def _entries(self, horizon_s):
         peak = self.mean_rate_per_s * (1.0 + self.amplitude)
         rng = self._streams()
         gaps = rng.stream("gaps")
         keep = rng.stream("thinning")
-        times = []
         now = 0.0
         while True:
             now += gaps.expovariate(peak)
             if now >= horizon_s:
-                return times
-            if keep.random() * peak < self.rate_at(now):
-                times.append(now)
-
-    def _vectorized_chunks(self, horizon_s, chunk_size):
-        import numpy as np
-
-        peak = self.mean_rate_per_s * (1.0 + self.amplitude)
-        rng = self._streams()
-        draws = _UnitExpChunks(rng.numpy_stream("gaps"), chunk_size)
-        keep = rng.numpy_stream("thinning")
-        base = 0.0
-        while True:
-            times = _sequential_cumsum(base, draws.peek() / peak)
-            beyond = (times >= horizon_s).nonzero()[0]
-            if beyond.size:
-                cut = int(beyond[0])
-                draws.consume(cut + 1)
-                candidates = times[:cut]
-                done = True
-            else:
-                draws.consume(times.size)
-                candidates = times
-                base = float(times[-1])
-                done = False
-            if candidates.size:
-                # One thinning draw per sub-horizon candidate, exactly
-                # like the scalar loop (the horizon-crossing candidate
-                # never reaches its thinning test there either).
-                uniforms = keep.random_sample(candidates.size)
-                rate = self.mean_rate_per_s * (1.0 + self.amplitude * np.sin(
-                    2.0 * math.pi * candidates / self.period_s))
-                kept = candidates[uniforms * peak < rate]
-                if kept.size:
-                    yield kept
-            if done:
                 return
+            if keep.random() * peak < self.rate_at(now):
+                yield now, None
 
 
 class TraceArrivals(ArrivalProcess):
@@ -525,8 +259,7 @@ class TraceArrivals(ArrivalProcess):
         super().__init__(mix, seed)
         self.trace = tuple(trace)
 
-    def _entries(self) -> "list[tuple[float, RequestTemplate | None]]":
-        """The trace as sorted ``(arrival_s, template-or-None)`` pairs."""
+    def _entries(self, horizon_s):
         entries = []
         for entry in self.trace:
             if isinstance(entry, (int, float)):
@@ -535,38 +268,25 @@ class TraceArrivals(ArrivalProcess):
                 arrival_s, template = entry
                 entries.append((float(arrival_s), template))
         entries.sort(key=lambda pair: pair[0])
-        return entries
-
-    def generate(self, horizon_s: float) -> list[TaskRequest]:
-        return self._assemble(
-            (arrival_s, template) for arrival_s, template in self._entries()
-            if arrival_s < horizon_s
-        )
-
-    def arrival_times(self, horizon_s: float) -> list[float]:
-        return [arrival for arrival, _template in self._entries()
-                if arrival < horizon_s]
+        return (entry for entry in entries if entry[0] < horizon_s)
 
 
 def make_arrivals(kind: str, rate_per_s: float, seed: int = 0,
                   mix: typing.Sequence[RequestTemplate] = DEFAULT_MIX,
-                  vectorized: bool = False) -> ArrivalProcess:
+                  ) -> ArrivalProcess:
     """Build a named arrival process at a target mean rate.
 
     ``bursty`` splits the mean across a quiet state at half the rate and
     a burst state at 1.5x; ``diurnal`` oscillates ±80% around the mean.
-    ``vectorized`` opts into chunked numpy generation (see module doc).
     """
     if kind == "poisson":
-        return PoissonArrivals(rate_per_s, mix=mix, seed=seed,
-                               vectorized=vectorized)
+        return PoissonArrivals(rate_per_s, mix=mix, seed=seed)
     if kind == "bursty":
         return BurstyArrivals(rate_low=rate_per_s * 0.5,
                               rate_high=rate_per_s * 1.5,
-                              mix=mix, seed=seed, vectorized=vectorized)
+                              mix=mix, seed=seed)
     if kind == "diurnal":
-        return DiurnalArrivals(rate_per_s, mix=mix, seed=seed,
-                               vectorized=vectorized)
+        return DiurnalArrivals(rate_per_s, mix=mix, seed=seed)
     raise KeyError(f"unknown arrival kind {kind!r}; "
                    "choose from ['bursty', 'diurnal', 'poisson'] "
                    "(trace replay is built directly via TraceArrivals)")

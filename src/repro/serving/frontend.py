@@ -18,6 +18,7 @@ the pool.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing
 
 from repro.core.middleware import Cluster
@@ -50,6 +51,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: default bound on the admission queue (requests, not bytes)
 DEFAULT_QUEUE_CAPACITY = 64
+#: requests the frontend takes from its arrival stream at a time; one
+#: chunk of not-yet-arrived requests is pending at any instant
+CHUNK_SIZE = 4096
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +343,7 @@ class ServingFrontend:
     def __init__(
         self,
         freeride: "Cluster",
-        requests: typing.Sequence[TaskRequest],
+        requests: typing.Iterable[TaskRequest],
         admission: "str | AdmissionPolicy" = "always",
         discipline: "str | slo_mod.QueueDiscipline" = "edf",
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
@@ -418,27 +422,34 @@ class ServingFrontend:
         freeride.manager.terminal_listeners.append(self._on_terminal)
         # Restarted workers mean re-queued retries may fit again.
         freeride.manager.capacity_listeners.append(self._on_capacity)
-        self.feed(requests)
+        #: the arrival stream, taken :data:`CHUNK_SIZE` requests at a time
+        self._arrivals = iter(requests)
+        self._take_chunk()
 
-    def feed(self, requests: typing.Iterable[TaskRequest]) -> None:
-        """Register requests and schedule their arrival events.
+    def _take_chunk(self) -> None:
+        """Register the stream's next :data:`CHUNK_SIZE` requests and
+        schedule each arrival at its own instant.
 
-        The constructor feeds the whole pre-generated stream; the scale
-        harness calls this again per chunk (from
-        :meth:`~repro.serving.arrivals.ArrivalProcess.iter_time_chunks`)
-        so only one chunk of not-yet-arrived requests is ever pending —
-        the piece that keeps frontend memory flat at 10^6+ requests.
-        Arrivals must not be in the past; feeding chunk ``k+1`` when
-        chunk ``k``'s last arrival fires satisfies this by construction.
-        A past arrival raises before it is registered, so it never
+        The constructor takes the first chunk, so a stream shorter than
+        a chunk is scheduled in full before the run. A full chunk's last
+        arrival takes the next chunk before it is admitted
+        (:meth:`_on_chunk_end`): only one chunk of not-yet-arrived
+        requests is pending at a time, and the next chunk's arrivals
+        enter the heap ahead of anything that admission schedules, as
+        they would had the whole stream been scheduled up front. (An
+        arrival of a later chunk that falls on exactly the instant of an
+        entry already queued runs after that entry, not before it.)
+        Arrivals must not step back in time: a request arriving before
+        the current instant raises before it is registered, so it never
         counts as offered load.
         """
-        for request in requests:
-            delay = request.arrival_s - self.sim.now
-            if delay < 0:
+        now = self.sim.now
+        chunk = itertools.islice(self._arrivals, CHUNK_SIZE)
+        for position, request in enumerate(chunk, 1):
+            if request.arrival_s < now:
                 raise ValueError(
                     f"request {request.request_id} arrives in the past "
-                    f"({request.arrival_s} < {self.sim.now})"
+                    f"({request.arrival_s} < {now})"
                 )
             record = RequestRecord(
                 request=request,
@@ -449,7 +460,11 @@ class ServingFrontend:
                 self._live[request.request_id] = record
             else:
                 self.records.append(record)
-            self.sim.call_later(delay, self._on_arrival, record)
+            self.sim.call_at(
+                request.arrival_s,
+                self._on_chunk_end if position == CHUNK_SIZE
+                else self._on_arrival,
+                record)
 
     # -- workload assembly ---------------------------------------------
     @staticmethod
@@ -516,6 +531,11 @@ class ServingFrontend:
             record.spec = None
 
     # -- lifecycle events ----------------------------------------------
+    def _on_chunk_end(self, record: RequestRecord) -> None:
+        """A chunk's last arrival: take the next chunk, then admit."""
+        self._take_chunk()
+        self._on_arrival(record)
+
     def _on_arrival(self, record: RequestRecord) -> None:
         now = self.sim.now
         if self.streaming:

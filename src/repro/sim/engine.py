@@ -6,8 +6,9 @@ every simulation in this library fully deterministic for a given seed.
 
 The heap holds one kind of entry, ``(time, seq, callback, arg)``, and
 processing one is ``callback(arg)``. A timer that nothing waits on is
-just such an entry (:meth:`Engine.call_later`); a triggered event enters
-as ``(time, seq, SimEvent._process, event)``. Every entry point takes
+just such an entry (:meth:`Engine.call_later`, or :meth:`Engine.call_at`
+for a fixed instant); a triggered event enters as
+``(time, seq, SimEvent._process, event)``. Every entry point takes
 the next sequence number, so an entry and an event scheduled at the same
 instant keep their relative order.
 
@@ -15,13 +16,13 @@ instant keep their relative order.
 ``step``/``peek`` per entry: the drain loop executes once per entry and
 its overhead used to dominate end-to-end experiment time. The clock is a
 plain ``now`` attribute that only the engine writes. Two further
-drain-loop refinements feed the scale ladder (see PERFORMANCE.md):
-same-instant entries are popped in an inner batch so the clock is
-written once per distinct instant, and the horizon loop pops first and
-compares the popped time against the horizon (pushing the one
-overshooting entry back) instead of peeking ``heap[0][0]`` twice per
-entry. Running to exhaustion is the same loop with the largest finite
-horizon: an entry due at infinity is never processed.
+drain-loop refinements (see PERFORMANCE.md): same-instant entries are
+popped in an inner batch so the clock is written once per distinct
+instant, and the horizon loop pops first and compares the popped time
+against the horizon (pushing the one overshooting entry back) instead
+of peeking ``heap[0][0]`` twice per entry. Running to exhaustion is
+the same loop with the largest finite horizon: an entry due at
+infinity is never processed.
 
 :meth:`Engine.fire` lets a callback hand the loop the event it would
 pop next anyway: triggered at the current instant with nothing else due
@@ -124,6 +125,21 @@ class Engine:
         seq = self._sequence
         self._sequence = seq + 1
         heappush(self._heap, (self.now + delay, seq, callback, arg))
+
+    def call_at(self, when: float, callback: typing.Callable[[object], None],
+                arg: object = None) -> None:
+        """Call ``callback(arg)`` at the instant ``when``.
+
+        :meth:`call_later` for an instant known in advance (a request's
+        arrival): once ``now > 0``, ``now + (when - now)`` may round
+        away from ``when``, so the entry is keyed by ``when`` itself.
+        """
+        if not when >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule at {when}; clock is already at {self.now}")
+        seq = self._sequence
+        self._sequence = seq + 1
+        heappush(self._heap, (when, seq, callback, arg))
 
     def fire(self, event: SimEvent, value: object = None) -> None:
         """Trigger ``event`` with ``value`` at the current instant.

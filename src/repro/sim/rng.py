@@ -43,31 +43,6 @@ class RandomStreams:
             return mean
         return self.stream(name).lognormvariate(0.0, rel_sigma) * mean
 
-    def numpy_stream(self, name: str):
-        """A numpy ``RandomState`` over the same Mersenne Twister state as
-        :meth:`stream`'s ``random.Random`` for ``name``.
-
-        The generator state is copied verbatim (``getstate`` →
-        ``set_state``), so the *uniform* draws are bit-identical to the
-        scalar stream's ``random()`` sequence: both use MT19937 and the
-        same 53-bit double recipe. Derived variates (``-log(1-u)/rate``
-        and friends) may still differ in the last ulp because numpy's
-        vectorized ``log``/``sin`` are not guaranteed to round like
-        libm's — which is exactly why vectorized arrival generation is
-        an opt-in (see :mod:`repro.serving.arrivals`).
-
-        numpy is imported lazily so the simulation kernel itself stays
-        numpy-free.
-        """
-        import numpy as np
-
-        state = random.Random(_derive_seed(self.seed, name)).getstate()
-        keys = state[1]
-        rs = np.random.RandomState()
-        rs.set_state(("MT19937", np.array(keys[:-1], dtype=np.uint32),
-                      keys[-1]))
-        return rs
-
     def spawn(self, name: str) -> "RandomStreams":
         """Derive a child factory whose streams are independent of ours."""
         return RandomStreams(_derive_seed(self.seed, f"spawn:{name}"))

@@ -9,6 +9,7 @@ from repro.api.session import Session
 from repro.api.spec import PolicySpec, ScenarioSpec, TrainingSpec
 from repro.core.middleware import FreeRide
 from repro.experiments import common
+from repro.serving import frontend as frontend_mod
 from repro.serving.arrivals import RequestTemplate, TaskRequest, TraceArrivals
 from repro.serving.frontend import (
     NAMED_ADMISSION,
@@ -297,19 +298,30 @@ class TestDispatchRound:
         assert frontend.queue == [blocked, same_size]
 
 
-class TestFeed:
+class TestArrivalChunks:
     @pytest.mark.parametrize("metrics_mode", ["records", "streaming"])
     def test_past_arrival_is_rejected_without_a_phantom_record(
-            self, metrics_mode):
+            self, metrics_mode, monkeypatch):
+        monkeypatch.setattr(frontend_mod, "CHUNK_SIZE", 5)
         freeride = FreeRide(common.train_config(epochs=1), seed=0)
         requests = [_request(i, 0.1 * (i + 1)) for i in range(10)]
-        frontend = ServingFrontend(freeride, requests,
+        # The third chunk's first request steps back behind the second
+        # chunk's last arrival (1.0 s), which takes the third chunk.
+        requests.append(_request(10, 0.5))
+        frontend = ServingFrontend(freeride, iter(requests),
                                    metrics_mode=metrics_mode)
-        freeride.sim.run(until=2.0)
-        with pytest.raises(ValueError, match="arrives in the past"):
-            frontend.feed([_request(10, 1.5)])
+        with pytest.raises(ValueError, match="request 10 arrives in the past"):
+            freeride.sim.run(until=2.0)
+        assert freeride.sim.now == requests[9].arrival_s
         if metrics_mode == "records":
-            assert len(frontend.records) == 10
+            assert [record.request.request_id
+                    for record in frontend.records] == list(range(10))
         frontend.finalize()
-        metrics = frontend.metrics_for(2.0)
-        assert metrics.offered == metrics.admitted == 10
+        assert frontend.metrics_for(2.0).offered == 10
+
+    def test_a_short_stream_is_scheduled_whole_at_construction(self):
+        freeride = FreeRide(common.train_config(epochs=1), seed=0)
+        requests = [_request(i, 0.1 * (i + 1)) for i in range(10)]
+        frontend = ServingFrontend(freeride, iter(requests))
+        assert len(frontend.records) == 10
+        assert next(frontend._arrivals, None) is None

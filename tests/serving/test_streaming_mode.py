@@ -229,12 +229,13 @@ class TestMetricsSpec:
             ScenarioSpec(name="s", kind="pipeline",
                          metrics=MetricsSpec(mode="streaming"))
 
-    def test_vectorized_arrivals_round_trip(self):
-        spec = ScenarioSpec(
-            name="s", kind="serving",
-            arrivals=ArrivalSpec(kind="poisson", rate_per_s=10.0,
-                                 vectorized=True),
-        )
-        clone = ScenarioSpec.from_dict(spec.to_dict())
-        assert clone.arrivals.vectorized is True
-        assert clone.arrivals.build().vectorized is True
+    def test_retired_vectorized_field_is_unknown(self):
+        spec = ScenarioSpec(name="s", kind="serving",
+                            arrivals=ArrivalSpec(kind="poisson",
+                                                 rate_per_s=10.0))
+        data = spec.to_dict()
+        data["arrivals"]["vectorized"] = True
+        with pytest.raises(SpecError, match="unknown ArrivalSpec field"):
+            ScenarioSpec.from_dict(data)
+        with pytest.raises(SpecError, match="unknown ArrivalSpec field"):
+            spec.override({"arrivals.vectorized": True})

@@ -284,6 +284,28 @@ def test_bad_delays_are_rejected_on_every_entry_point(engine: Engine,
     assert engine.now == 2.0 and event.value == "value"
 
 
+def test_call_at_runs_at_exactly_its_instant(engine: Engine):
+    # 0.7 + (2.9 - 0.7) rounds to 2.9000000000000004, so a delay from
+    # the current clock could not key this entry at 2.9.
+    seen = []
+    engine.call_later(0.7, lambda _arg: engine.call_at(
+        2.9, lambda arg: seen.append((engine.now, arg)), "at"))
+    engine.call_at(2.9, lambda arg: seen.append((engine.now, arg)), "first")
+    engine.run()
+    # Same instant: entries run in the order they were scheduled.
+    assert seen == [(2.9, "first"), (2.9, "at")]
+
+
+@pytest.mark.parametrize("when", [0.5, float("nan")], ids=["past", "nan"])
+def test_call_at_rejects_an_instant_before_the_clock(engine: Engine, when):
+    engine.run(until=1.0)
+    with pytest.raises(SimulationError, match="cannot schedule at"):
+        engine.call_at(when, lambda _arg: None)
+    engine.call_at(1.0, lambda _arg: None)  # now itself is fine
+    engine.run()
+    assert engine.now == 1.0 and engine.events_processed == 1
+
+
 def test_nan_delays_cannot_move_the_clock_backwards(engine: Engine):
     # A NaN delay used to be scheduled, and its key broke the heap's
     # order: timeouts of 3, nan, 1 and 2 fired at 1, 2, nan and then 3.
