@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 import typing
 
 from repro.calibration import SideTaskProfile
@@ -42,8 +43,9 @@ class SideTaskContext:
     proc: "GPUProcess"
     rng: RandomStreams
     task_name: str
-    #: the task's jitter stream, resolved once — jitter() runs per step
-    _stream: typing.Any = dataclasses.field(
+    #: the standard-normal source of the task's jitter stream, resolved
+    #: once — jitter() runs per step
+    _normal: typing.Any = dataclasses.field(
         default=None, repr=False, compare=False
     )
 
@@ -52,14 +54,22 @@ class SideTaskContext:
         return self.engine.now
 
     def jitter(self, mean: float, rel_sigma: float = 0.02) -> float:
+        """``mean`` times a lognormal factor of sigma ``rel_sigma``.
+
+        The value is ``lognormvariate(0.0, rel_sigma) * mean`` on the
+        stream ``task:<name>``, bit for bit, computed as that method
+        does from the stream's normal source (:meth:`RandomStreams.normal`
+        is shared by name, so a restored task's new context continues
+        the sequence).
+        """
         if mean <= 0:
             return 0.0
         if rel_sigma <= 0:
             return mean
-        stream = self._stream
-        if stream is None:
-            stream = self._stream = self.rng.stream(f"task:{self.task_name}")
-        return stream.lognormvariate(0.0, rel_sigma) * mean
+        normal = self._normal
+        if normal is None:
+            normal = self._normal = self.rng.normal(f"task:{self.task_name}")
+        return math.exp(0.0 + normal() * rel_sigma) * mean
 
 
 class SideTaskBase(abc.ABC):
@@ -146,7 +156,8 @@ class IterativeSideTask(SideTaskBase):
 
     def _launch_step(self, ctx: SideTaskContext) -> SimEvent:
         """The stock step after its host phase: ``compute_step``, then
-        the jittered kernel; returns the kernel's done event."""
+        the jittered kernel; returns the kernel, its own completion
+        event."""
         self.compute_step()
         perf = self.perf
         return ctx.proc.launch_kernel(

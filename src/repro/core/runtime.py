@@ -491,28 +491,30 @@ class _StepDriver:
     the same ``(time, seq)`` keys, with every RNG draw and state change
     at the same entry as the generator's. Its two timers are bare heap
     entries (``Engine.call_later``) where the generator yields timeout
-    events:
+    events, and its third callback runs on the kernel itself:
 
-    * the overhead timer: ``overhead_s``, ``RunNextStep``, the step's
-      start and its host phase (the jitter and the host timer);
-    * the host timer: the step's launch (``compute_step``, the kernel
-      jitter and the launch);
-    * the kernel's done event: the step's accounting and ``running_s``,
-      then the loop's checks in the generator's order (finished,
-      checkpoint due, state, commands, fit) and the next overhead
-      timer.
+    * :meth:`_on_overhead`, the overhead timer: ``overhead_s``,
+      ``RunNextStep``, the step's start and its host phase (the jitter
+      and the host timer);
+    * :meth:`_on_host`, the host timer: the step's launch
+      (``compute_step``, the kernel jitter and the launch);
+    * :meth:`_on_done`, the kernel's completion: the step's accounting
+      and ``running_s``, then the loop's checks in the generator's order
+      (finished, checkpoint due, state, commands, fit) and the next
+      overhead timer.
 
     ``IterativeSideTask._host_phase`` (the host seconds) and
     ``_launch_step`` build the two phases for ``run_next_step`` and the
     driver alike, and ``_step_fits`` is the fit check of both loops. A
-    zero overhead or host time skips that timer, as the generator does.
-    Meanwhile the process waits on ``wait``, an event that is never
-    scheduled. When a check fails, or a phase raises, the driver resumes
-    it in place (no event, no seq, no count), so the generator takes
-    over at the same instant. A kill takes the process's callback off
-    ``wait``; every later callback of the driver then does nothing, as
-    the generator's removed resume callbacks do. The phases
-    :meth:`start` runs before the process waits raise directly.
+    zero overhead or host time skips that timer, as the generator does:
+    the next callback runs at once. Meanwhile the process waits on
+    ``wait``, an event that is never scheduled. When a check fails, or a
+    phase raises, the driver resumes it in place (no event, no seq, no
+    count), so the generator takes over at the same instant. A kill
+    takes the process's callback off ``wait``; every later callback of
+    the driver then does nothing, as the generator's removed resume
+    callbacks do. The phases :meth:`start` runs before the process waits
+    raise directly.
     """
 
     __slots__ = ("runtime", "engine", "machine", "commands", "workload",
@@ -533,7 +535,7 @@ class _StepDriver:
         self.bubble_end: float | None = None
         self.wait: SimEvent | None = None
         self.step_start = 0.0
-        # bound once: one of them is registered on every step's events
+        # bound once: one of them is registered on every step's entries
         self.on_overhead = self._on_overhead
         self.on_host = self._on_host
         self.on_done = self._on_done
@@ -542,7 +544,10 @@ class _StepDriver:
         """Start a step; returns the event the process waits on."""
         self.bubble_end = bubble_end
         self.wait = wait = SimEvent(self.engine)
-        self._start_overhead()
+        if self.overhead > 0:
+            self.engine.call_later(self.overhead, self.on_overhead)
+        else:
+            self._step()
         return wait
 
     def _resume(self, exception: BaseException | None = None) -> None:
@@ -553,13 +558,8 @@ class _StepDriver:
         wait._exception = exception
         resume(wait)
 
-    def _start_overhead(self) -> None:
-        if self.overhead > 0:
-            self.engine.call_later(self.overhead, self.on_overhead)
-        else:
-            self._start_host()
-
-    def _start_host(self) -> None:
+    def _step(self) -> None:
+        """``RunNextStep`` and the host phase; without one, the launch."""
         now = self.engine.now
         self.machine.apply(Transition.RUN_NEXT_STEP, now)
         self.step_start = now
@@ -567,17 +567,15 @@ class _StepDriver:
         if host is not None:
             self.engine.call_later(host, self.on_host)
         else:
-            self._launch()
-
-    def _launch(self) -> None:
-        self.workload._launch_step(self.ctx).callbacks.append(self.on_done)
+            self.workload._launch_step(self.ctx).callbacks.append(
+                self.on_done)
 
     def _on_overhead(self, _arg: None) -> None:
         if not self.wait.callbacks:
             return  # killed
         try:
             self.runtime.overhead_s += self.overhead
-            self._start_host()
+            self._step()
         except Exception as exc:  # noqa: BLE001 - the generator raises it
             self._resume(exc)
 
@@ -585,15 +583,16 @@ class _StepDriver:
         if not self.wait.callbacks:
             return  # killed
         try:
-            self._launch()
+            self.workload._launch_step(self.ctx).callbacks.append(
+                self.on_done)
         except Exception as exc:  # noqa: BLE001 - the generator raises it
             self._resume(exc)
 
-    def _on_done(self, done: SimEvent) -> None:
+    def _on_done(self, kernel: SimEvent) -> None:
         if not self.wait.callbacks:
             return  # killed
-        if done._exception is not None:
-            self._resume(done._exception)
+        if kernel._exception is not None:
+            self._resume(kernel._exception)
             return
         try:
             workload = self.workload
@@ -607,7 +606,11 @@ class _StepDriver:
                     or self.machine.state is not SideTaskState.RUNNING
                     or self.commands
                     or not _step_fits(now, self.reach, self.bubble_end)):
-                self._start_overhead()
+                overhead = self.overhead
+                if overhead > 0:
+                    self.engine.call_later(overhead, self.on_overhead)
+                else:
+                    self._step()
                 return
         except Exception as exc:  # noqa: BLE001 - the generator raises it
             self._resume(exc)

@@ -6,16 +6,19 @@ the sum of interference imposed by concurrently-running kernels of *other*
 processes (see :mod:`repro.gpu.kernel`). Whenever the active-kernel set
 changes, remaining work is settled at the old rates and completions are
 rescheduled at the new rates — the standard processor-sharing construction
-for discrete-event simulators. A kernel that lands on an idle device
-skips that pass: alone, it has nothing to settle and a slowdown of
-exactly 1, so :meth:`SimGPU.launch` schedules its completion directly
-with the same arithmetic on the same values. A completion timer is a
-bare heap entry (:meth:`~repro.sim.engine.Engine.call_later`) carrying
-its run and the run's version; a rate change supersedes it by bumping
-the version. A completion that leaves the device idle fires the
-kernel's done event in place (:meth:`~repro.sim.engine.Engine.fire`):
-its waiter runs inside the timer's entry, exactly where the heap would
-have run it next.
+for discrete-event simulators. A kernel is its own completion event and
+carries its run state (remaining work, rate, last settle instant, timer
+version). A kernel that lands on an idle device skips that pass: alone,
+it has nothing to settle and a slowdown of exactly 1, so
+:meth:`SimGPU.launch` schedules its completion directly with the same
+arithmetic on the same values. A completion timer is a bare heap entry
+(:meth:`~repro.sim.engine.Engine.call_later`) carrying its kernel and
+the kernel's version; a rate change supersedes it by bumping the
+version. A completion that leaves the device idle fires the kernel in
+place (:meth:`~repro.sim.engine.Engine.fire`): its waiter runs inside
+the timer's entry, exactly where the heap would have run it next. On
+that lone-kernel path, when no occupancy trace is recorded, the launch
+and the completion update busy time inline.
 
 The device also keeps:
 
@@ -28,27 +31,13 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import GpuOutOfMemoryError, SimulationError
+from repro.errors import GpuOutOfMemoryError, ProcessKilledError, SimulationError
 from repro.gpu.kernel import Kernel, Priority
 from repro.gpu.sharing import SharingMode
-from repro.sim.events import SimEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
     from repro.sim.engine import Engine
-
-
-class _KernelRun:
-    """Book-keeping for one in-flight kernel."""
-
-    __slots__ = ("kernel", "remaining", "rate", "last_update", "version")
-
-    def __init__(self, kernel: Kernel, remaining: float, now: float):
-        self.kernel = kernel
-        self.remaining = remaining
-        self.rate = 1.0
-        self.last_update = now
-        self.version = 0
 
 
 class SimGPU:
@@ -72,7 +61,8 @@ class SimGPU:
         self.memory_gb = memory_gb
         self.sharing = sharing
         self.speed_factor = speed_factor
-        self._runs: dict[int, _KernelRun] = {}
+        #: the kernels in flight, by kernel id, in launch order
+        self._runs: dict[int, Kernel] = {}
         self._allocations: dict[int, float] = {}  # pid -> GB
         #: record the SM-occupancy trace? Off by default: only Figures 1
         #: and 8 read it, and on long serving runs the per-recompute
@@ -86,7 +76,7 @@ class SimGPU:
         self.busy_time: float = 0.0
         self._busy_since: float | None = None
         #: the one callback of every completion timer, bound once; the
-        #: timer's argument is its run and the run's version
+        #: timer's argument is its kernel and the kernel's version
         self._timer_callback = self._on_timer
 
     # ------------------------------------------------------------------
@@ -140,74 +130,75 @@ class SimGPU:
     # ------------------------------------------------------------------
     # kernel execution
     # ------------------------------------------------------------------
-    def launch(self, kernel: Kernel) -> SimEvent:
-        """Start executing ``kernel``; returns its completion event."""
-        if kernel.done is not None:
+    def launch(self, kernel: Kernel) -> Kernel:
+        """Start executing ``kernel``; returns it, as its completion event."""
+        if kernel.version >= 0:
             raise SimulationError(f"kernel {kernel.name} launched twice")
         runs = self._runs
         if runs and self.sharing is SharingMode.EXCLUSIVE:
-            owners = {run.kernel.proc.pid for run in runs.values()}
+            owners = {other.proc.pid for other in runs.values()}
             if owners != {kernel.proc.pid}:
                 raise SimulationError(
                     f"{self.name} is in EXCLUSIVE mode; "
                     f"{kernel.proc.name} cannot co-run kernels"
                 )
-        engine = self.engine
-        done = kernel.done = SimEvent(engine)
-        now = engine.now
-        run = _KernelRun(kernel, kernel.work_s / self.speed_factor, now)
+        now = self.engine.now
+        kernel.remaining = kernel.work_s / self.speed_factor
+        kernel.last_update = now
+        kernel.version = 0
         alone = not runs
-        runs[kernel.kid] = run
+        runs[kernel.kid] = kernel
         if kernel.work_s == 0:
-            self._complete(run)
+            self._complete(kernel)
         elif alone:
-            # _recompute with this one run: settling subtracts
+            # _recompute with this one kernel: settling subtracts
             # (now - now) * 1.0, the occupancy sums add to 0.0, and the
             # slowdown is 1.0, so the completion lands remaining / 1.0
             # from now under version 1.
-            if kernel.priority >= Priority.TRAINING:
+            if not self.record_occupancy:
+                self._busy_since = now  # what _record_point would do
+            elif kernel.priority >= Priority.TRAINING:
                 self._record_point(now, kernel.sm_demand, 0.0)
             else:
                 self._record_point(now, 0.0, kernel.sm_demand)
-            run.version = 1
-            engine.call_later(run.remaining, self._timer_callback, (run, 1))
+            kernel.version = 1
+            self.engine.call_later(kernel.remaining, self._timer_callback,
+                                   (kernel, 1))
         else:
             self._recompute()
-        return done
+        return kernel
 
     def cancel_kernels_of(self, proc: "GPUProcess") -> int:
         """Drop all in-flight kernels of ``proc`` (CUDA context teardown).
 
-        Their completion events fail so waiters observe the termination.
-        Returns the number of kernels cancelled.
+        They fail with :class:`~repro.errors.ProcessKilledError`, so
+        waiters observe the termination. Returns the number of kernels
+        cancelled.
         """
-        from repro.errors import ProcessKilledError
-
-        doomed = [run for run in self._runs.values()
-                  if run.kernel.proc.pid == proc.pid]
-        for run in doomed:
-            del self._runs[run.kernel.kid]
-            if run.kernel.done is not None and run.kernel.done.pending:
-                run.kernel.done.fail(
-                    ProcessKilledError(f"{run.kernel.name} cancelled with {proc.name}")
-                )
+        doomed = [kernel for kernel in self._runs.values()
+                  if kernel.proc.pid == proc.pid]
+        for kernel in doomed:
+            del self._runs[kernel.kid]
+            if kernel.pending:
+                kernel.fail(ProcessKilledError(
+                    f"{kernel.name} cancelled with {proc.name}"))
         if doomed:
             self._recompute()
         return len(doomed)
 
     def active_kernels(self) -> list[Kernel]:
-        return [run.kernel for run in self._runs.values()]
+        return list(self._runs.values())
 
     def has_kernels_of(self, proc: "GPUProcess") -> bool:
-        return any(run.kernel.proc.pid == proc.pid for run in self._runs.values())
+        return any(kernel.proc.pid == proc.pid
+                   for kernel in self._runs.values())
 
     # ------------------------------------------------------------------
     # rate model
     # ------------------------------------------------------------------
     def _slowdown(self, kernel: Kernel) -> float:
         slowdown = 1.0
-        for run in self._runs.values():
-            other = run.kernel
+        for other in self._runs.values():
             if other.proc.pid == kernel.proc.pid:
                 continue
             slowdown += other.interference.imposed_on(
@@ -221,45 +212,48 @@ class SimGPU:
         runs = self._runs
         training = 0.0
         side = 0.0
-        for run in runs.values():
-            run.remaining -= (now - run.last_update) * run.rate
-            if run.remaining < 0:
-                run.remaining = 0.0
-            run.last_update = now
-            kernel = run.kernel
+        for kernel in runs.values():
+            kernel.remaining -= (now - kernel.last_update) * kernel.rate
+            if kernel.remaining < 0:
+                kernel.remaining = 0.0
+            kernel.last_update = now
             if kernel.priority >= Priority.TRAINING:
                 training += kernel.sm_demand
             else:
                 side += kernel.sm_demand
         self._record_point(now, training, side)
-        for run in runs.values():
-            run.rate = 1.0 / self._slowdown(run.kernel)
-            run.version += 1
-            self._schedule_completion(run)
+        call_later = self.engine.call_later
+        for kernel in runs.values():
+            kernel.rate = rate = 1.0 / self._slowdown(kernel)
+            kernel.version = version = kernel.version + 1
+            call_later(kernel.remaining / rate, self._timer_callback,
+                       (kernel, version))
 
-    def _schedule_completion(self, run: _KernelRun) -> None:
-        self.engine.call_later(run.remaining / run.rate, self._timer_callback,
-                               (run, run.version))
-
-    def _on_timer(self, timer: tuple[_KernelRun, int]) -> None:
-        run, version = timer
+    def _on_timer(self, timer: tuple[Kernel, int]) -> None:
+        kernel, version = timer
         runs = self._runs
-        kernel = run.kernel
-        if run.version != version or kernel.kid not in runs:
+        if kernel.version != version or kernel.kid not in runs:
             return  # stale timer from before a recompute
         del runs[kernel.kid]
-        self._record_occupancy(self.engine.now)
+        now = self.engine.now
         if runs:
-            kernel.done.succeed(kernel)
+            self._record_occupancy(now)
+            kernel.succeed(kernel)
             self._recompute()
+            return
+        if self.record_occupancy:
+            self._record_point(now, 0.0, 0.0)
         else:
-            # The timer's entry ends with this callback: fire at its tail.
-            self.engine.fire(kernel.done, kernel)
+            # what _record_point does on an idle device
+            self.busy_time += now - self._busy_since
+            self._busy_since = None
+        # The timer's entry ends with this callback: fire at its tail.
+        self.engine.fire(kernel, kernel)
 
-    def _complete(self, run: _KernelRun) -> None:
-        self._runs.pop(run.kernel.kid, None)
+    def _complete(self, kernel: Kernel) -> None:
+        self._runs.pop(kernel.kid, None)
         self._record_occupancy(self.engine.now)
-        run.kernel.done.succeed(run.kernel)
+        kernel.succeed(kernel)
         if self._runs:
             self._recompute()
 
@@ -270,8 +264,7 @@ class SimGPU:
         training = 0.0
         side = 0.0
         if self.record_occupancy:
-            for run in self._runs.values():
-                kernel = run.kernel
+            for kernel in self._runs.values():
                 if kernel.priority >= Priority.TRAINING:
                     training += kernel.sm_demand
                 else:

@@ -4,6 +4,11 @@ A kernel carries ``work_s`` seconds of work (its duration when running
 alone at full speed), an SM demand used for occupancy traces, a priority
 class, and an :class:`Interference` spec describing how much it slows down
 kernels of *other processes* that overlap with it under each sharing mode.
+It is also its own completion event: :meth:`repro.gpu.device.SimGPU.launch`
+returns it, and yielding it resumes with the kernel once it finishes.
+While it runs it carries the device's run state for it (remaining work,
+rate, the instant that work was settled, and the version of its
+completion timer).
 
 The interference coefficients for the evaluation's side tasks are fitted to
 the paper's Table 2 (see :mod:`repro.calibration`); the device applies them
@@ -18,10 +23,10 @@ import itertools
 import typing
 
 from repro.gpu.sharing import SharingMode
+from repro.sim.events import PENDING, SimEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
-    from repro.sim.events import SimEvent
 
 
 class Priority(enum.IntEnum):
@@ -73,8 +78,12 @@ TRAINING_INTERFERENCE = Interference(mps_on_higher=0.0, mps_on_lower=1.0,
 _kernel_ids = itertools.count()
 
 
-class Kernel:
-    """One launched unit of GPU work."""
+class Kernel(SimEvent):
+    """One launched unit of GPU work, and the event of its completion."""
+
+    __slots__ = ("kid", "proc", "work_s", "sm_demand", "priority",
+                 "interference", "remaining", "rate", "last_update",
+                 "version")
 
     def __init__(
         self,
@@ -89,15 +98,28 @@ class Kernel:
             raise ValueError(f"kernel work must be >= 0, got {work_s}")
         if not 0.0 < sm_demand <= 1.0:
             raise ValueError(f"sm_demand must be in (0, 1], got {sm_demand}")
-        self.kid = next(_kernel_ids)
+        # SimEvent's fields, set here rather than through its __init__:
+        # a kernel is built per launch, and the call cost a sixth of
+        # this constructor
+        self.engine = proc.engine
+        self.callbacks = []
+        self._state = PENDING
+        self._value = None
+        self._exception = None
+        self.kid = kid = next(_kernel_ids)
+        self.name = name or f"kernel-{kid}"
         self.proc = proc
         self.work_s = work_s
         self.sm_demand = sm_demand
         self.priority = priority
         self.interference = interference
-        self.name = name or f"kernel-{self.kid}"
-        #: Completion event, set by the device at launch time.
-        self.done: "SimEvent | None" = None
+        # The run state, which the device sets at launch: seconds of
+        # work left at ``last_update``, the rate since then, and the
+        # version of the completion timer (-1 until launched).
+        self.remaining = 0.0
+        self.rate = 1.0
+        self.last_update = 0.0
+        self.version = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -96,8 +96,9 @@ class GPUProcess:
     # ------------------------------------------------------------------
     def launch_kernel(
         self, work_s: float, sm_demand: float = 0.5, name: str = ""
-    ) -> "SimEvent":
-        """Launch an asynchronous kernel; returns its completion event."""
+    ) -> Kernel:
+        """Launch an asynchronous kernel; returns it, as its completion
+        event (yielding it resumes with the kernel once it finishes)."""
         if not self.alive:
             self._check_alive()
         kernel = Kernel(self, work_s, sm_demand, self.priority,

@@ -286,9 +286,9 @@ class _StageEpoch:
       in the same order as an ``AllOf``; when the last is processed it
       schedules the continuation at zero delay, where the ``AllOf``
       would trigger;
-    * an op's or the optimizer's kernel: the continuation on the kernel's
-      done event, where the process's resume would be (a lone kernel's
-      completion still fires in place);
+    * an op's or the optimizer's kernel: the continuation on the kernel,
+      its own completion event, where the process's resume would be (a
+      lone kernel's completion still fires in place);
     * the hook cost: a timer of ``hook_cost_s``, where the timeout was;
     * the end: a zero-delay entry where the process's own termination
       event would be, running the epoch barrier

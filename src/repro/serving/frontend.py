@@ -18,7 +18,6 @@ the pool.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 
 from repro.core.middleware import Cluster
@@ -51,9 +50,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: default bound on the admission queue (requests, not bytes)
 DEFAULT_QUEUE_CAPACITY = 64
-#: requests the frontend takes from its arrival stream at a time; one
-#: chunk of not-yet-arrived requests is pending at any instant
-CHUNK_SIZE = 4096
+#: heap sequence numbers the frontend reserves for its arrival stream:
+#: arrival i is keyed ``base + i``, the key it would have taken had the
+#: whole stream been scheduled at construction. A longer stream raises.
+#: 2**29 arrivals is far beyond any run (the scale bound offers 10**6),
+#: and keeps later sequence numbers below 2**30, CPython's one-digit ints.
+ARRIVAL_KEYS = 1 << 29
 
 
 # ----------------------------------------------------------------------
@@ -422,49 +424,50 @@ class ServingFrontend:
         freeride.manager.terminal_listeners.append(self._on_terminal)
         # Restarted workers mean re-queued retries may fit again.
         freeride.manager.capacity_listeners.append(self._on_capacity)
-        #: the arrival stream, taken :data:`CHUNK_SIZE` requests at a time
+        #: the arrival stream, read one request ahead of the clock
         self._arrivals = iter(requests)
-        self._take_chunk()
+        #: the reserved key of the stream's next request, and the end of
+        #: the reserved block
+        self._arrival_seq = self.sim.reserve(ARRIVAL_KEYS)
+        self._arrival_end = self._arrival_seq + ARRIVAL_KEYS
+        self._schedule_next_arrival()
 
-    def _take_chunk(self) -> None:
-        """Register the stream's next :data:`CHUNK_SIZE` requests and
-        schedule each arrival at its own instant.
+    def _schedule_next_arrival(self) -> None:
+        """Register the stream's next request and schedule its arrival
+        at its own instant, under its reserved key.
 
-        The constructor takes the first chunk, so a stream shorter than
-        a chunk is scheduled in full before the run. A full chunk's last
-        arrival takes the next chunk before it is admitted
-        (:meth:`_on_chunk_end`): only one chunk of not-yet-arrived
-        requests is pending at a time, and the next chunk's arrivals
-        enter the heap ahead of anything that admission schedules, as
-        they would had the whole stream been scheduled up front. (An
-        arrival of a later chunk that falls on exactly the instant of an
-        entry already queued runs after that entry, not before it.)
-        Arrivals must not step back in time: a request arriving before
-        the current instant raises before it is registered, so it never
-        counts as offered load.
+        The constructor schedules the first request, and each arrival
+        schedules the next before it is admitted, so one request that
+        has not arrived is registered at a time, and its entry sorts
+        exactly as it would had the whole stream been scheduled at
+        construction. Arrivals must not step back in time: a request
+        arriving before the current instant raises before it is
+        registered, so it never counts as offered load.
         """
+        request = next(self._arrivals, None)
+        if request is None:
+            return
         now = self.sim.now
-        chunk = itertools.islice(self._arrivals, CHUNK_SIZE)
-        for position, request in enumerate(chunk, 1):
-            if request.arrival_s < now:
-                raise ValueError(
-                    f"request {request.request_id} arrives in the past "
-                    f"({request.arrival_s} < {now})"
-                )
-            record = RequestRecord(
-                request=request,
-                deadline_s=slo_mod.slo_class(request.slo_class)
-                .absolute_deadline(request.arrival_s),
+        if request.arrival_s < now:
+            raise ValueError(
+                f"request {request.request_id} arrives in the past "
+                f"({request.arrival_s} < {now})"
             )
-            if self.streaming:
-                self._live[request.request_id] = record
-            else:
-                self.records.append(record)
-            self.sim.call_at(
-                request.arrival_s,
-                self._on_chunk_end if position == CHUNK_SIZE
-                else self._on_arrival,
-                record)
+        seq = self._arrival_seq
+        if seq == self._arrival_end:
+            raise ValueError(
+                f"the arrival stream has more than {ARRIVAL_KEYS} requests")
+        self._arrival_seq = seq + 1
+        record = RequestRecord(
+            request=request,
+            deadline_s=slo_mod.slo_class(request.slo_class)
+            .absolute_deadline(request.arrival_s),
+        )
+        if self.streaming:
+            self._live[request.request_id] = record
+        else:
+            self.records.append(record)
+        self.sim.call_at(request.arrival_s, self._on_arrival, record, seq)
 
     # -- workload assembly ---------------------------------------------
     @staticmethod
@@ -531,12 +534,8 @@ class ServingFrontend:
             record.spec = None
 
     # -- lifecycle events ----------------------------------------------
-    def _on_chunk_end(self, record: RequestRecord) -> None:
-        """A chunk's last arrival: take the next chunk, then admit."""
-        self._take_chunk()
-        self._on_arrival(record)
-
     def _on_arrival(self, record: RequestRecord) -> None:
+        self._schedule_next_arrival()
         now = self.sim.now
         if self.streaming:
             # Register the tenant at *arrival* so undeclared tenants

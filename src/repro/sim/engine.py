@@ -10,7 +10,9 @@ just such an entry (:meth:`Engine.call_later`, or :meth:`Engine.call_at`
 for a fixed instant); a triggered event enters as
 ``(time, seq, SimEvent._process, event)``. Every entry point takes
 the next sequence number, so an entry and an event scheduled at the same
-instant keep their relative order.
+instant keep their relative order. :meth:`Engine.reserve` takes a block
+of them at once, for entries a caller will push one at a time later but
+that must sort as if pushed now (a stream's arrivals).
 
 ``run`` localizes the heap and ``heappop`` instead of dispatching through
 ``step``/``peek`` per entry: the drain loop executes once per entry and
@@ -27,7 +29,7 @@ infinity is never processed.
 :meth:`Engine.fire` lets a callback hand the loop the event it would
 pop next anyway: triggered at the current instant with nothing else due
 then, the event is processed right there instead of taking a round trip
-through the heap (see PERFORMANCE.md, "Step callbacks").
+through the heap (see PERFORMANCE.md, "Step path").
 """
 
 from __future__ import annotations
@@ -127,19 +129,37 @@ class Engine:
         heappush(self._heap, (self.now + delay, seq, callback, arg))
 
     def call_at(self, when: float, callback: typing.Callable[[object], None],
-                arg: object = None) -> None:
+                arg: object = None, seq: int | None = None) -> None:
         """Call ``callback(arg)`` at the instant ``when``.
 
         :meth:`call_later` for an instant known in advance (a request's
         arrival): once ``now > 0``, ``now + (when - now)`` may round
         away from ``when``, so the entry is keyed by ``when`` itself.
+        ``seq``, when given, is the entry's sequence number, one of a
+        block taken with :meth:`reserve` and not used before; otherwise
+        the entry takes the next one.
         """
         if not when >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at {when}; clock is already at {self.now}")
-        seq = self._sequence
-        self._sequence = seq + 1
+        if seq is None:
+            seq = self._sequence
+            self._sequence = seq + 1
         heappush(self._heap, (when, seq, callback, arg))
+
+    def reserve(self, count: int) -> int:
+        """Take ``count`` sequence numbers now; returns the first.
+
+        An entry pushed later with one of them (``call_at(..., seq=)``)
+        sorts among same-instant entries as if it had been scheduled
+        now: after every entry scheduled before, before every entry
+        scheduled after.
+        """
+        if count < 0:
+            raise SimulationError(f"cannot reserve {count} sequence numbers")
+        base = self._sequence
+        self._sequence = base + count
+        return base
 
     def fire(self, event: SimEvent, value: object = None) -> None:
         """Trigger ``event`` with ``value`` at the current instant.

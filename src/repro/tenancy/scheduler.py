@@ -67,29 +67,35 @@ class StrideDiscipline:
         self._pass[tenant] = self._vtime + self._stride[tenant]
         self._order[tenant] = len(self._order)
 
-    def _backlogged(self, queue: "typing.Sequence[RequestRecord]") -> "set[str]":
-        """The tenants with queued work (undeclared ones register at
-        weight 1, in first-seen order)."""
-        seen: "set[str]" = set()
-        for record in queue:
-            tenant = record.request.tenant
-            if tenant not in self._stride:
-                self._register(tenant, 1.0)
-            seen.add(tenant)
-        return seen
-
     def __call__(self, queue: "typing.Sequence[RequestRecord]",
                  now: float) -> int:
-        tenant = min(
-            self._backlogged(queue),
-            key=lambda name: (self._pass[name], self._order[name]),
-        )
-        return min(
-            (index for index, record in enumerate(queue)
-             if record.request.tenant == tenant),
-            key=lambda index: (queue[index].effective_deadline,
-                               queue[index].request.request_id),
-        )
+        """The index of the next pick, in one pass over ``queue``.
+
+        The pass registers undeclared tenants at weight 1, in first-seen
+        order, and keeps each tenant's head: its first request with the
+        least ``(effective_deadline, request_id)``. The pick is the head
+        of the backlogged tenant with the least ``(pass, order)``.
+        """
+        # tenant -> (effective deadline, request id, index) of its head
+        heads: "dict[str, tuple[float, int, int]]" = {}
+        for index, record in enumerate(queue):
+            request = record.request
+            tenant = request.tenant
+            deadline = record.effective_deadline
+            head = heads.get(tenant)
+            if head is None:
+                if tenant not in self._stride:
+                    self._register(tenant, 1.0)
+            elif not (deadline < head[0] or (
+                    deadline == head[0] and request.request_id < head[1])):
+                continue
+            heads[tenant] = (deadline, request.request_id, index)
+        chosen = best = None
+        for tenant in heads:
+            rank = (self._pass[tenant], self._order[tenant])
+            if best is None or rank < best:
+                chosen, best = tenant, rank
+        return heads[chosen][2]
 
     def on_dispatch(self, record: "RequestRecord") -> None:
         """Charge one stride — called only for requests that actually

@@ -6,10 +6,11 @@ import pytest
 
 from repro.errors import GpuOutOfMemoryError, ProcessKilledError, SimulationError
 from repro.gpu.device import SimGPU
-from repro.gpu.kernel import Interference, Priority
+from repro.gpu.kernel import Interference, Kernel, Priority
 from repro.gpu.process import GPUProcess
 from repro.gpu.sharing import SharingMode
 from repro.sim.engine import Engine
+from repro.sim.events import SimEvent
 
 
 def _proc(engine, gpu, name="p", priority=Priority.SIDE, interference=None,
@@ -297,7 +298,6 @@ def test_kernel_work_must_be_a_non_negative_number(engine: Engine,
     assert gpu.active_kernels() == []
 
 
-
 def _tie_log(fire_in_place: bool):
     """Kernels with same-instant ties at their completions, scheduled
     before and after each launch; returns the firing log and the event
@@ -349,3 +349,67 @@ def test_completions_fired_in_place_keep_the_heap_order():
     for label, now in fired[0]:
         at.setdefault(label[0], set()).add(now)
     assert at == {"a": {1.3}, "b": {0.85}, "c": {2.5}}  # real ties
+
+
+# ----------------------------------------------------------------------
+# A kernel is its own completion event.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("sharing", list(SharingMode),
+                         ids=[mode.value for mode in SharingMode])
+@pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+def test_launch_returns_the_kernel_as_its_completion_event(
+        engine: Engine, busy, sharing):
+    gpu = SimGPU(engine, "g", memory_gb=10.0, sharing=sharing)
+    proc = _proc(engine, gpu)
+    if busy:  # the launch takes the rate model's recompute
+        # (exclusive mode co-runs only one process's kernels)
+        other = proc if sharing is SharingMode.EXCLUSIVE else _proc(
+            engine, gpu, "other")
+        other.launch_kernel(work_s=5.0)
+    kernel = proc.launch_kernel(work_s=1.0, name="k")
+    assert isinstance(kernel, Kernel) and isinstance(kernel, SimEvent)
+    assert kernel.pending and kernel in gpu.active_kernels()
+    resumed = []
+
+    def waiter():
+        resumed.append((yield kernel))
+
+    engine.process(waiter())
+    engine.run(until=kernel)
+    assert resumed == [kernel] and kernel.value is kernel
+    # Time slicing halves a kernel that shares the device with another
+    # process's.
+    finish = 2.0 if busy and sharing is SharingMode.TIME_SLICE else 1.0
+    assert engine.now == finish and kernel not in gpu.active_kernels()
+
+
+def test_a_kernel_is_launched_once(engine: Engine, gpu: SimGPU):
+    proc = _proc(engine, gpu)
+    kernel = proc.launch_kernel(work_s=1.0)
+    with pytest.raises(SimulationError, match="launched twice"):
+        gpu.launch(kernel)
+    engine.run()
+    with pytest.raises(SimulationError, match="launched twice"):
+        gpu.launch(kernel)
+    assert gpu.active_kernels() == []
+
+
+def test_a_cancelled_kernel_fails_its_waiter(engine: Engine, gpu: SimGPU):
+    proc = _proc(engine, gpu)
+    survivor = _proc(engine, gpu, "other").launch_kernel(work_s=2.0)
+    kernel = proc.launch_kernel(work_s=1.0)
+    caught = []
+
+    def waiter():
+        try:
+            yield kernel
+        except ProcessKilledError as exc:
+            caught.append(exc)
+
+    engine.process(waiter())
+    engine.run(until=0.5)
+    assert gpu.cancel_kernels_of(proc) == 1
+    engine.run()
+    assert len(caught) == 1 and kernel.exception is caught[0]
+    assert survivor.ok and survivor.value is survivor and engine.now == 2.0
+    assert gpu.busy_time == 2.0

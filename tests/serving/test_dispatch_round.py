@@ -7,7 +7,10 @@ request's profile up again on every pick, drop a dispatched record with
 declined. :func:`_reference_round` keeps that round, verbatim but for
 the profile lookup (it reads the frontend's per-shape cache directly)
 and the tracing and attempt-timeout branches (both off here), and
-``REFERENCE_DISCIPLINES`` keeps the key-tuple EDF disciplines it ran.
+``REFERENCE_DISCIPLINES`` keeps the key-tuple EDF disciplines it ran and
+the stride scheduler's earlier pick (:class:`_ReferenceStride`), which
+built a set of backlogged tenants and then scanned the chosen tenant's
+requests again.
 
 Both rounds run over the same random queues in front of a stub pool:
 records in one to four memory classes, deadline ties and best-effort
@@ -16,8 +19,8 @@ that fit none, some or all classes, and an assignment policy that
 declines some requests. Each case runs one to three rounds, freeing
 memory, re-queueing dispatched requests and admitting new ones between
 them. Every discipline must see the same views and make the same
-submissions, leave the same queue, and, for the weighted-fair
-discipline, end at the same stride passes.
+submissions, make the same pick from every view, leave the same queue,
+and, for the weighted-fair discipline, end at the same stride passes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.serving.slo import AGING_WEIGHT, fifo_discipline
 from repro.serving.slo import _ageable_deadline
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
+from repro.tenancy.scheduler import StrideDiscipline
 from repro.tenancy.tenants import TenantShare
 
 #: memory a request class needs; workers' free memory is drawn from
@@ -68,13 +72,38 @@ def _reference_starvation_aware(queue, now):
     return min(range(len(queue)), key=key)
 
 
-#: the disciplines the reference round ran; the stride scheduler is
-#: unchanged, so the reference gets a fresh instance of it by name
+class _ReferenceStride(StrideDiscipline):
+    """The stride scheduler with its earlier, two-scan pick."""
+
+    def _backlogged(self, queue):
+        seen = set()
+        for record in queue:
+            tenant = record.request.tenant
+            if tenant not in self._stride:
+                self._register(tenant, 1.0)
+            seen.add(tenant)
+        return seen
+
+    def __call__(self, queue, now):
+        tenant = min(
+            self._backlogged(queue),
+            key=lambda name: (self._pass[name], self._order[name]),
+        )
+        return min(
+            (index for index, record in enumerate(queue)
+             if record.request.tenant == tenant),
+            key=lambda index: (queue[index].effective_deadline,
+                               queue[index].request.request_id),
+        )
+
+
+#: the disciplines the reference round ran; the stride scheduler's is
+#: built per run, like the current one
 REFERENCE_DISCIPLINES = {
     "fifo": fifo_discipline,
     "edf": _reference_edf,
     "starvation_aware": _reference_starvation_aware,
-    "weighted": "weighted",
+    "weighted": _ReferenceStride,
 }
 
 
@@ -174,7 +203,8 @@ class _StubPool:
 
 
 class _Spy:
-    """Records the request ids of every view a discipline is shown.
+    """Records the request ids of every view a discipline is shown, and
+    the id it picks from each.
 
     More than :data:`MAX_PICKS` picks means a round stopped shrinking
     its view; the spy then fails the case instead of letting it loop.
@@ -188,8 +218,10 @@ class _Spy:
 
     def __call__(self, view, now):
         assert len(self.views) < MAX_PICKS, "a round stopped shrinking"
-        self.views.append([record.request.request_id for record in view])
-        return self.discipline(view, now)
+        index = self.discipline(view, now)
+        self.views.append(([record.request.request_id for record in view],
+                           view[index].request.request_id))
+        return index
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,6 +305,8 @@ def _drive(case, discipline, dispatch_round):
     memory_gb, free_gb, queued, rounds, declined = case
     pool = _StubPool(free_gb, {f"pagerank-r{request_id}"
                                for request_id in declined})
+    if isinstance(discipline, type):
+        discipline = discipline(TENANTS)
     frontend = ServingFrontend(pool, [], discipline=discipline,
                                tenants=TENANTS)
     for shape, gb in enumerate(memory_gb):
@@ -297,7 +331,7 @@ def _drive(case, discipline, dispatch_round):
         dispatch_round(frontend)
     stride = spy.discipline
     passes = ((dict(stride._pass), stride._vtime, dict(stride._order))
-              if discipline == "weighted" else None)
+              if isinstance(stride, StrideDiscipline) else None)
     return (pool.submissions, spy.views,
             [record.request.request_id for record in frontend.queue],
             passes)

@@ -298,15 +298,14 @@ class TestDispatchRound:
         assert frontend.queue == [blocked, same_size]
 
 
-class TestArrivalChunks:
+class TestArrivalFeed:
     @pytest.mark.parametrize("metrics_mode", ["records", "streaming"])
     def test_past_arrival_is_rejected_without_a_phantom_record(
-            self, metrics_mode, monkeypatch):
-        monkeypatch.setattr(frontend_mod, "CHUNK_SIZE", 5)
+            self, metrics_mode):
         freeride = FreeRide(common.train_config(epochs=1), seed=0)
         requests = [_request(i, 0.1 * (i + 1)) for i in range(10)]
-        # The third chunk's first request steps back behind the second
-        # chunk's last arrival (1.0 s), which takes the third chunk.
+        # The last request steps back behind the one before it (1.0 s),
+        # which registers it when it arrives.
         requests.append(_request(10, 0.5))
         frontend = ServingFrontend(freeride, iter(requests),
                                    metrics_mode=metrics_mode)
@@ -319,9 +318,34 @@ class TestArrivalChunks:
         frontend.finalize()
         assert frontend.metrics_for(2.0).offered == 10
 
-    def test_a_short_stream_is_scheduled_whole_at_construction(self):
+    def test_one_request_ahead_of_the_clock_is_registered(self):
         freeride = FreeRide(common.train_config(epochs=1), seed=0)
         requests = [_request(i, 0.1 * (i + 1)) for i in range(10)]
-        frontend = ServingFrontend(freeride, iter(requests))
+        taken = []
+
+        def stream():
+            for request in requests:
+                taken.append(request.request_id)
+                yield request
+
+        frontend = ServingFrontend(freeride, stream())
+        assert taken == [0] and len(frontend.records) == 1
+        freeride.sim.run(until=0.35)
+        # Requests 0-2 arrived; the third registered the fourth.
+        assert taken == [0, 1, 2, 3] and len(frontend.records) == 4
+        freeride.sim.run(until=2.0)
         assert len(frontend.records) == 10
-        assert next(frontend._arrivals, None) is None
+        assert all(record.admitted_at == record.request.arrival_s
+                   or record.rejected_at == record.request.arrival_s
+                   for record in frontend.records)
+
+    def test_a_stream_longer_than_its_reserved_keys_raises(
+            self, monkeypatch):
+        monkeypatch.setattr(frontend_mod, "ARRIVAL_KEYS", 3)
+        freeride = FreeRide(common.train_config(epochs=1), seed=0)
+        requests = [_request(i, 0.1 * (i + 1)) for i in range(4)]
+        frontend = ServingFrontend(freeride, iter(requests))
+        with pytest.raises(ValueError, match="more than 3 requests"):
+            freeride.sim.run(until=2.0)
+        assert freeride.sim.now == requests[2].arrival_s
+        assert len(frontend.records) == 3

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.serving.arrivals import TaskRequest
 from repro.serving.frontend import RequestRecord, make_discipline
 from repro.tenancy.scheduler import NAMED_FAIR_DISCIPLINES, StrideDiscipline
 from repro.tenancy.tenants import TenantShare
+from tests.serving.test_dispatch_round import _ReferenceStride
 
 
 def _record(request_id: int, tenant: str,
@@ -111,3 +115,43 @@ def test_make_discipline_rejects_unknown_names():
 
 def test_weighted_is_registered():
     assert "weighted" in NAMED_FAIR_DISCIPLINES
+
+
+# ----------------------------------------------------------------------
+# The one-pass pick against the earlier two-scan pick, over random
+# backlogs and dispatch sequences.
+# ----------------------------------------------------------------------
+_DEADLINES = (None, 4.0, 9.0, 9.0, 12.0)
+
+
+@pytest.mark.parametrize("declared", [
+    (),
+    (TenantShare("a", weight=2.0), TenantShare("b", weight=1.0)),
+    (TenantShare("c", weight=3.0), TenantShare("a", weight=0.5),
+     TenantShare("", weight=1.0)),
+], ids=["none", "two", "three"])
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.lists(
+    st.tuples(st.sampled_from(("", "a", "b", "c", "d")),
+              st.sampled_from(_DEADLINES),
+              st.integers(0, 30)),
+    min_size=1, max_size=25), min_size=1, max_size=6))
+def test_one_pass_pick_matches_the_two_scan_pick(declared, picks):
+    """Each list is one view; after every pick both schedulers charge
+    the picked request, so their passes, order and virtual time evolve
+    together. Request ids repeat, so (deadline, id) ties occur."""
+    current, reference = StrideDiscipline(declared), _ReferenceStride(
+        declared)
+    for view in picks:
+        queue = [RequestRecord(
+            request=TaskRequest(request_id=request_id, arrival_s=0.0,
+                                workload="pagerank", job_steps=1,
+                                tenant=tenant),
+            deadline_s=deadline) for tenant, deadline, request_id in view]
+        index = current(queue, 0.0)
+        assert index == reference(queue, 0.0)
+        queue[index].assigned_at = 0.0
+        current.on_dispatch(queue[index])
+        reference.on_dispatch(queue[index])
+        assert (current._pass, current._order, current._vtime) == (
+            reference._pass, reference._order, reference._vtime)

@@ -3,7 +3,7 @@
 Each entry is the sha256 of what ``repro run <scenario> --epochs 1``
 prints: the rendered result plus the newline ``print`` adds. They were
 captured through the CLI before the side-task steps became event
-callbacks, the change these pin (see PERFORMANCE.md, "Step callbacks").
+callbacks, the change these pin (see PERFORMANCE.md, "Step path").
 An exact change to the simulation leaves every one of them alone; a
 deliberate change to what a scenario computes or prints re-captures
 them and says why.
