@@ -34,6 +34,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
     from repro.sim.engine import Engine
 
+#: relative sigma of a side-task duration's lognormal jitter: the
+#: run-to-run spread of a task's host work and kernels
+JITTER_SIGMA = 0.02
+
+
+def step_split(perf: SideTaskProfile) -> tuple[float, float]:
+    """The stock step's host seconds and kernel seconds: the profiled
+    step time split by the task's GPU duty."""
+    step_time_s = perf.step_time_s
+    return step_time_s * (1.0 - perf.gpu_duty), step_time_s * perf.gpu_duty
+
 
 @dataclasses.dataclass
 class SideTaskContext:
@@ -53,23 +64,29 @@ class SideTaskContext:
     def now(self) -> float:
         return self.engine.now
 
-    def jitter(self, mean: float, rel_sigma: float = 0.02) -> float:
-        """``mean`` times a lognormal factor of sigma ``rel_sigma``.
+    def normal_source(self) -> typing.Callable[[], float]:
+        """The standard-normal source of the stream ``task:<name>``.
 
-        The value is ``lognormvariate(0.0, rel_sigma) * mean`` on the
-        stream ``task:<name>``, bit for bit, computed as that method
-        does from the stream's normal source (:meth:`RandomStreams.normal`
-        is shared by name, so a restored task's new context continues
-        the sequence).
+        :meth:`RandomStreams.normal` is shared by name, so a restored
+        task's new context continues the sequence, and a caller holding
+        the source continues the one :meth:`jitter` draws from. Getting
+        it draws nothing.
         """
-        if mean <= 0:
-            return 0.0
-        if rel_sigma <= 0:
-            return mean
         normal = self._normal
         if normal is None:
             normal = self._normal = self.rng.normal(f"task:{self.task_name}")
-        return math.exp(0.0 + normal() * rel_sigma) * mean
+        return normal
+
+    def jitter(self, mean: float) -> float:
+        """``mean`` times a lognormal factor of sigma :data:`JITTER_SIGMA`.
+
+        The value is ``lognormvariate(0.0, JITTER_SIGMA) * mean`` on the
+        stream ``task:<name>``, bit for bit, computed as that method
+        does from the stream's normal source (:meth:`normal_source`).
+        """
+        if mean <= 0:
+            return 0.0
+        return math.exp(0.0 + self.normal_source()() * JITTER_SIGMA) * mean
 
 
 class SideTaskBase(abc.ABC):
@@ -133,11 +150,12 @@ class IterativeSideTask(SideTaskBase):
 
         A generator so the middleware can interleave it with virtual time;
         the default body realizes the profiled step duration with the
-        profiled host/GPU split. Override for custom step structure: the
-        runtime then drives the override as a generator. A task that
-        keeps this body has its steps run as callbacks on the same events
-        instead (``repro.core.runtime._StepDriver``, built from the same
-        two phases below), with identical results.
+        profiled host/GPU split (:func:`step_split`). Override it, or one
+        of its two phases below, for custom step structure: the runtime
+        then drives ``run_next_step`` as a generator. A task that keeps
+        all three has its steps run as callbacks on the same events
+        instead (``repro.core.runtime._StepDriver``, which resolves the
+        same split and sigma once per START), with identical results.
         """
         host = self._host_phase(ctx)
         if host is not None:
@@ -148,8 +166,7 @@ class IterativeSideTask(SideTaskBase):
     def _host_phase(self, ctx: SideTaskContext) -> float | None:
         """The stock step's host phase: the jittered host seconds, drawn
         now, or None when the profile puts all of the step on the GPU."""
-        perf = self.perf
-        host_s = perf.step_time_s * (1.0 - perf.gpu_duty)
+        host_s = step_split(self.perf)[0]
         if host_s > 0:
             return ctx.jitter(host_s)
         return None
@@ -161,8 +178,7 @@ class IterativeSideTask(SideTaskBase):
         self.compute_step()
         perf = self.perf
         return ctx.proc.launch_kernel(
-            ctx.jitter(perf.step_time_s * perf.gpu_duty), perf.sm_demand,
-            self.name)
+            ctx.jitter(step_split(perf)[1]), perf.sm_demand, self.name)
 
     @abc.abstractmethod
     def compute_step(self) -> None:
@@ -180,13 +196,13 @@ class ImperativeSideTask(SideTaskBase):
         """
         while not self.is_finished:
             yield from ctx.proc.wait_if_stopped()
-            host_s = self.perf.step_time_s * (1.0 - self.perf.gpu_duty)
+            host_s, kernel_s = step_split(self.perf)
             if host_s > 0:
                 yield ctx.engine.timeout(ctx.jitter(host_s))
             yield from ctx.proc.wait_if_stopped()
             self.compute_step()
             kernel = ctx.proc.launch_kernel(
-                work_s=ctx.jitter(self.perf.step_time_s * self.perf.gpu_duty),
+                work_s=ctx.jitter(kernel_s),
                 sm_demand=self.perf.sm_demand,
                 name=self.name,
             )

@@ -37,6 +37,19 @@ from repro.errors import TaskRejectedError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
+# Enum members Algorithm 2 reads on every worker visit, bound once: on
+# Python 3.11 a member read through its class goes through the Enum
+# metaclass's __getattr__.
+_CREATED = SideTaskState.CREATED
+_PAUSED = SideTaskState.PAUSED
+_RUNNING = SideTaskState.RUNNING
+_STOPPED = SideTaskState.STOPPED
+_CHECKPOINTED = SideTaskState.CHECKPOINTED
+_RESUMED = SideTaskState.RESUMED
+_INIT = CommandKind.INIT
+_START = CommandKind.START
+_PAUSE = CommandKind.PAUSE
+
 
 class SideTaskManager:
     """Coordinates workers, bubbles, and side-task state transitions."""
@@ -160,6 +173,7 @@ class SideTaskManager:
     def _sweep(self) -> None:
         now = self.sim.now
         self._place_preempted()
+        pending_of = self._pending
         # Enforcement timers are created *after* the worker loop so the
         # loop's command casts occupy adjacent heap slots and coalesce
         # into one event per sweep (see RpcChannel.cast). The timers
@@ -169,43 +183,44 @@ class SideTaskManager:
         for worker in self.workers:
             if worker.crashed:
                 continue
+            # Nothing in a visit changes a task's state (commands land
+            # after the RPC latency), so it is read once per task.
+            task = worker.current_task
+            state = None if task is None else task.machine.state
             bubble = worker.current_bubble
             if bubble is not None and bubble.has_ended(now):
-                task = worker.current_task
                 # A task mid-checkpoint must also be paused: the PAUSE
                 # command queues and lands when the checkpoint completes.
-                if task is not None and task.state in (
-                    SideTaskState.RUNNING, SideTaskState.CHECKPOINTED
-                ):
+                if state is _RUNNING or state is _CHECKPOINTED:
                     self._initiate_pause(worker, task, checks)
                 worker.current_bubble = None
             if worker.has_new_bubble():
                 worker.update_current_bubble()
-            if worker.current_task is None or worker.current_task.machine.terminated:
-                if worker.current_task is not None:
-                    worker.release(worker.current_task)
-                worker.current_task = worker.next_task()
-            task = worker.current_task
-            if task is None or task.machine.terminated:
-                continue
-            pending = self._pending.get(id(task))
-            if task.state is SideTaskState.CREATED:
-                if pending is not CommandKind.INIT:
+            if task is None or state is _STOPPED:
+                if task is not None:
+                    worker.release(task)
+                worker.current_task = task = worker.next_task()
+                if task is None:
+                    continue
+                state = task.machine.state
+            pending = pending_of.get(id(task))
+            if state is _CREATED:
+                if pending is not _INIT:
                     self._initiate_init(worker, task, checks)
-            elif task.state in (SideTaskState.PAUSED, SideTaskState.RESUMED):
-                if pending in (CommandKind.INIT, CommandKind.PAUSE):
-                    self._pending.pop(id(task), None)
+            elif state is _PAUSED or state is _RESUMED:
+                if pending is _INIT or pending is _PAUSE:
+                    del pending_of[id(task)]
                     pending = None
                 bubble = worker.current_bubble
                 if (
                     bubble is not None
                     and not bubble.has_ended(now)
-                    and pending is not CommandKind.START
+                    and pending is not _START
                 ):
                     self._initiate_start(task, bubble)
-            elif task.state is SideTaskState.RUNNING:
-                if pending is CommandKind.START:
-                    self._pending.pop(id(task), None)
+            elif state is _RUNNING:
+                if pending is _START:
+                    del pending_of[id(task)]
         for schedule_check in checks:
             schedule_check()
 

@@ -8,10 +8,10 @@ RPCs; the runtime applies them at the granularity its interface allows:
   steps and enforces the **program-directed** time limit — a step only
   runs when the bubble's remaining time covers the profiled step duration
   plus a safety margin (section 4.5). Steps of a task that keeps the
-  stock ``run_next_step`` run as callbacks on the step's own timers and
-  kernel event (:class:`_StepDriver`); an overridden hook, or a
-  fault-injected run, takes the generator step loop, with identical
-  results;
+  stock ``run_next_step`` and its phases run as callbacks on the step's
+  own timers and kernel event (:class:`_StepDriver`); an overridden
+  hook, or a fault-injected run, takes the generator step loop, with
+  identical results;
 * :class:`ImperativeRuntime` maps pause/resume onto SIGTSTP/SIGCONT; the
   stop signal cannot recall kernels already on the device, so those
   overlap with training (section 5).
@@ -25,10 +25,17 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
+import math
 import typing
 
 from repro import calibration
-from repro.core.interfaces import ImperativeSideTask, IterativeSideTask, SideTaskContext
+from repro.core.interfaces import (
+    JITTER_SIGMA,
+    ImperativeSideTask,
+    IterativeSideTask,
+    SideTaskContext,
+    step_split,
+)
 from repro.core.rpc import RpcChannel
 from repro.core.states import SideTaskState, StateMachine, Transition
 from repro.core.task_spec import TaskSpec
@@ -48,6 +55,12 @@ class CommandKind(enum.Enum):
     START = "StartSideTask"
     PAUSE = "PauseSideTask"
     STOP = "StopSideTask"
+
+
+# Enum members read on every step, bound once: on Python 3.11 a member
+# read through its class goes through the Enum metaclass's __getattr__.
+_RUNNING = SideTaskState.RUNNING
+_RUN_NEXT_STEP = Transition.RUN_NEXT_STEP
 
 
 @dataclasses.dataclass(frozen=True)
@@ -373,7 +386,6 @@ class IterativeRuntime(SideTaskRuntime):
         injector = self.injector
         checkpoint = self.spec.checkpoint
         name = self.spec.name
-        running = SideTaskState.RUNNING
         step_time = self.spec.profile.step_time_s
         # now + step_time * margin, with the product rounded once here
         reach = (None if step_time is None else
@@ -382,7 +394,7 @@ class IterativeRuntime(SideTaskRuntime):
         driver = None
         if injector is None and _stock_steps(workload):
             driver = _StepDriver(self, reach, overhead)
-        while machine.state is running:
+        while machine.state is _RUNNING:
             if commands:
                 command = commands.popleft()
                 if command.kind is CommandKind.PAUSE:
@@ -420,7 +432,7 @@ class IterativeRuntime(SideTaskRuntime):
                     self.step_failures += 1
                     self.wasted_s += sim.now - fail_start
                     continue
-                machine.apply(Transition.RUN_NEXT_STEP, sim.now)
+                machine.apply(_RUN_NEXT_STEP, sim.now)
                 step_start = sim.now
                 yield from workload.run_next_step(ctx)
                 if injector is not None:
@@ -443,7 +455,7 @@ class IterativeRuntime(SideTaskRuntime):
         policy = self.spec.checkpoint
         if policy is None or policy.interval_steps <= 0:
             return False
-        if self.machine.state is not SideTaskState.RUNNING:
+        if self.machine.state is not _RUNNING:
             return False
         done = self.workload.steps_done - (self._snapshot or {}).get(
             "steps_done", 0
@@ -476,10 +488,17 @@ def _step_fits(now: float, reach: float | None,
     return bubble_end is None or reach is None or now + reach <= bubble_end
 
 
+#: the stock step, in the three hooks the step driver stands in for
+_STOCK_STEP_HOOKS = ("run_next_step", "_host_phase", "_launch_step")
+
+
 def _stock_steps(workload: IterativeSideTask) -> bool:
-    """True when ``workload`` runs ``IterativeSideTask.run_next_step``."""
-    hook = getattr(workload.run_next_step, "__func__", None)
-    return hook is IterativeSideTask.run_next_step
+    """True when ``workload`` runs ``IterativeSideTask.run_next_step``
+    with the stock ``_host_phase`` and ``_launch_step``."""
+    return all(
+        getattr(getattr(workload, hook), "__func__", None)
+        is getattr(IterativeSideTask, hook)
+        for hook in _STOCK_STEP_HOOKS)
 
 
 class _StepDriver:
@@ -493,21 +512,27 @@ class _StepDriver:
     entries (``Engine.call_later``) where the generator yields timeout
     events, and its third callback runs on the kernel itself:
 
-    * :meth:`_on_overhead`, the overhead timer: ``overhead_s``,
-      ``RunNextStep``, the step's start and its host phase (the jitter
-      and the host timer);
-    * :meth:`_on_host`, the host timer: the step's launch
-      (``compute_step``, the kernel jitter and the launch);
+    * :meth:`_on_overhead`, the overhead timer: ``overhead_s``, then
+      :meth:`_step`: ``RunNextStep``, the step's start, the host draw
+      and the host timer;
+    * :meth:`_on_host`, the host timer: :meth:`_launch`, the step's
+      launch (``compute_step``, the kernel draw and the launch);
     * :meth:`_on_done`, the kernel's completion: the step's accounting
       and ``running_s``, then the loop's checks in the generator's order
       (finished, checkpoint due, state, commands, fit) and the next
       overhead timer.
 
-    ``IterativeSideTask._host_phase`` (the host seconds) and
-    ``_launch_step`` build the two phases for ``run_next_step`` and the
-    driver alike, and ``_step_fits`` is the fit check of both loops. A
-    zero overhead or host time skips that timer, as the generator does:
-    the next callback runs at once. Meanwhile the process waits on
+    The stock step (``IterativeSideTask.run_next_step`` and its phases
+    ``_host_phase`` and ``_launch_step``) is resolved once per START: the
+    host and kernel seconds of :func:`step_split`, the task's normal
+    source from its context, its kernel's SM demand and name, and the
+    bound launch. Each draw is ``ctx.jitter``'s, ``exp(0.0 + z * σ) *
+    mean`` with ``σ = JITTER_SIGMA``, and a zero kernel mean draws
+    nothing, as ``ctx.jitter`` returns 0.0. ``_step_fits`` is the fit
+    check of both loops.
+
+    A zero overhead or host time skips that timer, as the generator
+    does: the next phase runs at once. Meanwhile the process waits on
     ``wait``, an event that is never scheduled. When a check fails, or a
     phase raises, the driver resumes it in place (no event, no seq, no
     count), so the generator takes over at the same instant. A kill
@@ -518,8 +543,10 @@ class _StepDriver:
     """
 
     __slots__ = ("runtime", "engine", "machine", "commands", "workload",
-                 "ctx", "checkpoint", "reach", "overhead", "bubble_end",
-                 "wait", "step_start", "on_overhead", "on_host", "on_done")
+                 "checkpoint", "reach", "overhead", "host_s", "kernel_s",
+                 "sm_demand", "kernel_name", "normal", "compute_step",
+                 "launch_kernel", "bubble_end", "wait", "step_start",
+                 "on_overhead", "on_host", "on_done")
 
     def __init__(self, runtime: IterativeRuntime, reach: float | None,
                  overhead: float):
@@ -527,11 +554,19 @@ class _StepDriver:
         self.engine = runtime.sim
         self.machine = runtime.machine
         self.commands = runtime._commands
-        self.workload = runtime.workload
-        self.ctx = runtime.ctx
+        self.workload = workload = runtime.workload
         self.checkpoint = runtime.spec.checkpoint
         self.reach = reach
         self.overhead = overhead
+        # the stock step, resolved once per START
+        perf = workload.perf
+        self.host_s, self.kernel_s = step_split(perf)
+        self.sm_demand = perf.sm_demand
+        self.kernel_name = workload.name
+        ctx = runtime.ctx
+        self.normal = ctx.normal_source()
+        self.compute_step = workload.compute_step
+        self.launch_kernel = ctx.proc.launch_kernel
         self.bubble_end: float | None = None
         self.wait: SimEvent | None = None
         self.step_start = 0.0
@@ -561,14 +596,24 @@ class _StepDriver:
     def _step(self) -> None:
         """``RunNextStep`` and the host phase; without one, the launch."""
         now = self.engine.now
-        self.machine.apply(Transition.RUN_NEXT_STEP, now)
+        self.machine.apply(_RUN_NEXT_STEP, now)
         self.step_start = now
-        host = self.workload._host_phase(self.ctx)
-        if host is not None:
-            self.engine.call_later(host, self.on_host)
+        host_s = self.host_s
+        if host_s > 0:
+            self.engine.call_later(
+                math.exp(0.0 + self.normal() * JITTER_SIGMA) * host_s,
+                self.on_host)
         else:
-            self.workload._launch_step(self.ctx).callbacks.append(
-                self.on_done)
+            self._launch()
+
+    def _launch(self) -> None:
+        """``compute_step``, the kernel draw and the launch."""
+        self.compute_step()
+        kernel_s = self.kernel_s
+        work_s = (0.0 if kernel_s <= 0 else
+                  math.exp(0.0 + self.normal() * JITTER_SIGMA) * kernel_s)
+        self.launch_kernel(work_s, self.sm_demand,
+                           self.kernel_name).callbacks.append(self.on_done)
 
     def _on_overhead(self, _arg: None) -> None:
         if not self.wait.callbacks:
@@ -583,8 +628,7 @@ class _StepDriver:
         if not self.wait.callbacks:
             return  # killed
         try:
-            self.workload._launch_step(self.ctx).callbacks.append(
-                self.on_done)
+            self._launch()
         except Exception as exc:  # noqa: BLE001 - the generator raises it
             self._resume(exc)
 
@@ -603,7 +647,7 @@ class _StepDriver:
             if not (workload.is_finished
                     or (self.checkpoint is not None
                         and runtime._should_checkpoint())
-                    or self.machine.state is not SideTaskState.RUNNING
+                    or self.machine.state is not _RUNNING
                     or self.commands
                     or not _step_fits(now, self.reach, self.bubble_end)):
                 overhead = self.overhead

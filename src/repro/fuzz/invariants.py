@@ -376,6 +376,33 @@ def _training_progress(spec, outcome):
 
 
 @invariant(
+    "no_speedup",
+    "every pool job's training takes at least its no-side-task time "
+    "T_noSideTask (total_time >= baseline_time(config)): side tasks and "
+    "hooks only slow training down",
+)
+def _no_speedup(spec, outcome):
+    from repro.experiments.common import baseline_time
+
+    # A pipeline-kind run trains on RandomStreams(config.seed) itself,
+    # not on the "pipeline" child stream baseline_time and every pool
+    # draw their op jitter from, so its time is not comparable.
+    if spec.kind == "pipeline":
+        return
+    result = outcome.result
+    if spec.kind == "cluster":
+        jobs = [(job.name, job.training, config) for job, config
+                in zip(result.jobs, spec.job_configs())]
+    else:
+        jobs = [("train", result.training, spec.train_config())]
+    for name, training, config in jobs:
+        t_no = baseline_time(config)
+        if not training.total_time >= t_no:
+            yield (f"{name}: total_time {training.total_time!r} is below "
+                   f"T_noSideTask {t_no!r}")
+
+
+@invariant(
     "solo_timeline",
     "baseline_time and profile_bubbles, computed from the op plan, equal "
     "a fresh PipelineEngine run of every training config bit for bit",

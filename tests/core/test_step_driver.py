@@ -1,13 +1,14 @@
 """Callback steps ≡ generator steps.
 
-A task that keeps the stock ``IterativeSideTask.run_next_step`` runs its
-steps as callbacks on the step's own events (``_StepDriver``); a task
-that overrides the hook, even with a pass-through
-``yield from super().run_next_step(ctx)``, takes the generator step
-loop. Each case below runs both ways and compares what a run leaves
-behind: the machine history, the bubble-time accounting, steps, units,
-the failure and the number of events processed. No option selects the
-path: the override does.
+A task that keeps the stock ``IterativeSideTask.run_next_step`` and its
+phases ``_host_phase`` and ``_launch_step`` runs its steps as callbacks
+on the step's own events (``_StepDriver``, which resolves the stock step
+once per START); a task that overrides any of the three, even with a
+pass-through ``yield from super().run_next_step(ctx)``, takes the
+generator step loop. Each case below runs both ways and compares what a
+run leaves behind: the machine history, the bubble-time accounting,
+steps, units, the failure and the number of events processed. No option
+selects the path: the override does.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from repro.errors import GpuOutOfMemoryError
 from repro.faults.checkpoint import CheckpointPolicy
 from repro.fuzz.digest import digest_result
 from repro.gpu.cluster import make_server_i
+from repro.gpu.device import SimGPU
 from repro.sim.engine import Engine
+from repro.sim.rng import RandomStreams
 from repro.workloads.adapters import FiniteJob
 from repro.workloads.graph_analytics import PageRankTask
 from repro.workloads.model_training import ModelTrainingTask
@@ -57,6 +60,24 @@ class Probe(IterativeSideTask):
 class ProbeTwin(Probe):
     def run_next_step(self, ctx):
         yield from super().run_next_step(ctx)
+
+
+class LongHost(Probe):
+    """Host phases twice the stock one's."""
+
+    def _host_phase(self, ctx):
+        return 2 * super()._host_phase(ctx)
+
+
+class LongKernel(Probe):
+    """Kernels twice the stock one's."""
+
+    def _launch_step(self, ctx):
+        self.compute_step()
+        perf = self.perf
+        return ctx.proc.launch_kernel(
+            2 * ctx.jitter(perf.step_time_s * perf.gpu_duty), perf.sm_demand,
+            self.name)
 
 
 class FiniteTwin(FiniteJob):
@@ -261,3 +282,55 @@ def test_whole_runs_match(monkeypatch, spec):
         monkeypatch.setattr(cls, "run_next_step", _pass_through,
                             raising=False)
     assert _session_outputs(spec) == callbacks
+
+
+def _next_normal(runtime, _gpu) -> float:
+    """The next value of the task's jitter source (drawn while paused)."""
+    return runtime.ctx.normal_source()()
+
+
+def test_all_host_step_launches_an_empty_kernel(monkeypatch):
+    """With ``gpu_duty`` 0 the kernel has no work: the step makes no
+    kernel draw, and the kernel completes through ``SimGPU._complete``
+    as a heap event of its own, not at the tail of a device timer."""
+    completions = []
+    complete = SimGPU._complete
+
+    def spy(gpu, kernel):
+        completions.append(kernel.work_s)
+        complete(gpu, kernel)
+
+    monkeypatch.setattr(SimGPU, "_complete", spy)
+    all_host = dataclasses.replace(calibration.RESNET18, gpu_duty=0.0)
+    outcome = _both(
+        lambda generator: _probe(generator, perf=all_host),
+        [(START_AT, _start(START_AT + 0.3)), (START_AT + 0.31, _pause),
+         (START_AT + 0.35, _next_normal)])
+    steps = outcome["steps"]
+    assert steps > 0 and outcome["busy_s"] == 0.0
+    assert completions == [0.0] * (2 * steps)
+    # one draw per step, its host phase's: the next value is the
+    # stream's (steps + 1)-th
+    fresh = RandomStreams(0).spawn("probe").normal("task:probe")
+    for _ in range(steps):
+        fresh()
+    assert outcome["seen"][-1] == fresh()
+
+
+def _with_pass_through(cls):
+    return type(f"{cls.__name__}Twin", (cls,),
+                {"run_next_step": _pass_through})
+
+
+@pytest.mark.parametrize("cls", [LongHost, LongKernel])
+def test_an_overridden_phase_takes_the_generator_loop(cls):
+    """The driver stands in for all three stock hooks, so overriding one
+    phase is enough to take the generator loop, which runs the
+    override."""
+    assert not _stock_steps(cls())
+    actions = [(START_AT, _start(START_AT + 0.4)), (START_AT + 0.41, _pause)]
+    outcome = _run(cls(), actions)
+    assert outcome == _run(_with_pass_through(cls)(), actions)
+    stock = _run(Probe(), actions)
+    assert 0 < outcome["steps"] < stock["steps"]
+

@@ -13,6 +13,7 @@ from repro.api.spec import (
     TrainingSpec,
     WorkloadSpec,
 )
+from repro.experiments.common import baseline_time
 from repro.fuzz import INVARIANTS, RunOutcome, check_invariants
 from repro.fuzz.harness import _execute
 
@@ -32,7 +33,7 @@ def test_registry_names_the_expected_properties():
                  "terminal_records", "latency_sanity", "retry_bounds",
                  "fairness_bounds", "resilience_bounds",
                  "no_faults_no_damage", "tasks_terminal",
-                 "training_progress", "solo_timeline",
+                 "training_progress", "no_speedup", "solo_timeline",
                  "telemetry_consistency"):
         assert name in INVARIANTS
         assert INVARIANTS[name].description
@@ -124,3 +125,46 @@ def test_session_run_matches_digest():
     _, digest = _execute(spec)
     result = Session(spec).run().results()
     assert digest["serving"]["offered"] == result.metrics.offered
+
+
+def _sped_up(training, config):
+    """``training`` finished 1 µs before its no-side-task time."""
+    return dataclasses.replace(
+        training, end_time=training.start_time + baseline_time(config) - 1e-6)
+
+
+def test_training_faster_than_its_baseline_is_caught():
+    spec = _serving_spec()
+    outcome, _ = _execute(spec)
+    assert check_invariants(spec, outcome, names=["no_speedup"]) == []
+    broken = RunOutcome(result=dataclasses.replace(
+        outcome.result,
+        training=_sped_up(outcome.result.training, spec.train_config())))
+    violations = check_invariants(spec, broken, names=["no_speedup"])
+    assert [v.invariant for v in violations] == ["no_speedup"]
+    assert "T_noSideTask" in violations[0].message
+
+
+def test_a_cluster_job_faster_than_its_baseline_is_caught():
+    spec = ScenarioSpec(
+        name="inv", kind="cluster", seed=2, training=TrainingSpec(epochs=1),
+        jobs=2, workloads=(WorkloadSpec(name="pagerank"),),
+    )
+    outcome, _ = _execute(spec)
+    assert check_invariants(spec, outcome, names=["no_speedup"]) == []
+    jobs = list(outcome.result.jobs)
+    jobs[1] = dataclasses.replace(
+        jobs[1], training=_sped_up(jobs[1].training, spec.job_configs()[1]))
+    broken = RunOutcome(result=dataclasses.replace(outcome.result, jobs=jobs))
+    violations = check_invariants(spec, broken, names=["no_speedup"])
+    assert len(violations) == 1
+    assert violations[0].message.startswith(jobs[1].name)
+
+
+def test_no_speedup_leaves_pipeline_runs_out():
+    """A pipeline-kind run does not train on its baseline's stream."""
+    spec = ScenarioSpec(name="inv", kind="pipeline", seed=1,
+                        training=TrainingSpec(epochs=1))
+    outcome, _ = _execute(spec)
+    broken = RunOutcome(result=_sped_up(outcome.result, spec.train_config()))
+    assert check_invariants(spec, broken, names=["no_speedup"]) == []

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.interfaces import SideTaskContext
+from repro.core.interfaces import JITTER_SIGMA, SideTaskContext
 from repro.sim import rng as rng_mod
 from repro.sim.rng import RandomStreams, _derive_seed, normal_source
 
@@ -170,9 +170,9 @@ def test_a_restored_task_continues_its_stream(crash_at, monkeypatch):
     draws = []
     jitter = SideTaskContext.jitter
 
-    def logged(ctx, mean, rel_sigma=0.02):
-        value = jitter(ctx, mean, rel_sigma)
-        draws.append((ctx, mean, rel_sigma, value))
+    def logged(ctx, mean):
+        value = jitter(ctx, mean)
+        draws.append((ctx, mean, value))
         return value
 
     monkeypatch.setattr(SideTaskContext, "jitter", logged)
@@ -199,5 +199,5 @@ def test_a_restored_task_continues_its_stream(crash_at, monkeypatch):
     assert len(draws) > before + rng_mod.NORMAL_PREFIX
     stream = random.Random(_derive_seed(contexts[0].rng.seed, "task:pr0"))
     assert [value for *_, value in draws] == [
-        stream.lognormvariate(0.0, rel_sigma) * mean
-        for _ctx, mean, rel_sigma, _value in draws]
+        stream.lognormvariate(0.0, JITTER_SIGMA) * mean
+        for _ctx, mean, _value in draws]
