@@ -2,9 +2,12 @@
 
 Mirrors the paper's Figure 6: port a GPU workload by overriding the four
 iterative-interface hooks — ``create_side_task`` (host context),
-``init_side_task`` (GPU context), ``compute_step`` (the work inside
-``run_next_step``), ``stop_side_task`` (cleanup). FreeRide handles
-profiling, placement, pausing and resuming; the task never sees a bubble.
+``init_side_task`` (GPU context), ``compute_step`` (the work of one
+step), ``stop_side_task`` (cleanup). FreeRide runs each step from the
+task's phases, ``host_phase``, ``launch_step`` (which calls
+``compute_step``) and ``after_step``; this task keeps the stock ones,
+which realize its profiled step. FreeRide handles profiling, placement,
+pausing and resuming; the task never sees a bubble.
 
 The example task estimates pi by Monte Carlo, one batch of samples per
 step — small, repetitive steps, exactly the structure the iterative

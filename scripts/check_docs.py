@@ -16,10 +16,12 @@ Three invariants:
    code under ``src/``, ``benchmarks/`` or ``scripts/`` — it appears
    there as a quoted string literal (a documented knob that nothing
    reads silently does nothing);
-4. every CamelCase name in an inline code span of API.md,
-   ARCHITECTURE.md or README.md is defined — by a ``class``, a ``def``
-   or an assignment — under ``src/``, ``perfbench/``, ``scripts/`` or
-   ``examples/`` (a class the docs send readers to must exist).
+4. every CamelCase name and every private (``_``-prefixed, not dunder)
+   name in an inline code span of API.md, ARCHITECTURE.md or README.md
+   is defined — by a ``class``, a ``def`` or an assignment — under
+   ``src/``, ``perfbench/``, ``scripts/`` or ``examples/``, or is a
+   Python builtin (a class or internal the docs send readers to must
+   exist).
 
 Invariants 1, 3 and 4 also run in the tier-1 suite
 (``tests/test_docs.py``); this script adds the slow example-execution
@@ -29,6 +31,7 @@ sweep.
 from __future__ import annotations
 
 import ast
+import builtins
 import pathlib
 import re
 import subprocess
@@ -88,7 +91,8 @@ def check_env_vars_read() -> "list[str]":
     return errors
 
 
-#: documents whose CamelCase code names must be defined by the code
+#: documents whose CamelCase and private code names must be defined by
+#: the code
 NAME_DOCS = ("API.md", "ARCHITECTURE.md", "README.md")
 NAME_CODE_DIRS = ("src", "perfbench", "scripts", "examples")
 #: names the docs borrow from libraries and from the paper
@@ -124,14 +128,21 @@ def _defined_names() -> "set[str]":
     return names
 
 
+def _is_checked(word: str) -> bool:
+    """CamelCase names, and private ones; a dunder is Python's own."""
+    if word.startswith("_"):
+        return len(word) > 1 and not word.startswith("__")
+    return _is_camel_case(word)
+
+
 def check_names_defined() -> "list[str]":
-    defined = _defined_names() | FOREIGN_NAMES
+    defined = _defined_names() | FOREIGN_NAMES | set(vars(builtins))
     errors = []
     for doc in NAME_DOCS:
         spans = CODE_SPAN.findall((REPO / doc).read_text())
         undefined = sorted({
             word for span in spans for word in IDENTIFIER.findall(span)
-            if _is_camel_case(word) and word not in defined
+            if _is_checked(word) and word not in defined
         })
         if undefined:
             errors.append(

@@ -30,9 +30,9 @@ from repro.sim.events import Interrupt
 from repro.sim.rng import RandomStreams
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.interfaces import ImperativeSideTask, IterativeSideTask
+    from repro.core.interfaces import IterativeSideTask
 
-WorkloadFactory = typing.Callable[[], "IterativeSideTask | ImperativeSideTask"]
+WorkloadFactory = typing.Callable[[], "IterativeSideTask"]
 
 
 @dataclasses.dataclass
@@ -137,17 +137,6 @@ def _continuous_loop(workload, ctx: SideTaskContext):
     """The side task's own main loop: step after step, no bubble awareness."""
     try:
         while not workload.is_finished:
-            host_s = workload.perf.step_time_s * (1.0 - workload.perf.gpu_duty)
-            if host_s > 0:
-                yield ctx.engine.timeout(ctx.jitter(host_s))
-            workload.compute_step()
-            yield ctx.proc.launch_kernel(
-                work_s=ctx.jitter(
-                    workload.perf.step_time_s * workload.perf.gpu_duty
-                ),
-                sm_demand=workload.perf.sm_demand,
-                name=f"{workload.name}:colo-step",
-            )
-            workload._account_step()
+            yield from workload.run_next_step(ctx)
     except Interrupt:
         return

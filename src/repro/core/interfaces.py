@@ -1,11 +1,13 @@
 """Side-task programming interfaces (paper sections 4.2 and 5).
 
 **Iterative** (preferred): the programmer expresses the workload as
-repeated small steps, overriding four hooks that mirror Figure 6 —
+repeated small steps, with hooks that mirror Figure 6 —
 ``create_side_task`` (host context), ``init_side_task`` (GPU context),
-``run_next_step`` (one step), ``stop_side_task`` (cleanup). FreeRide
-handles pausing/resuming and all state transitions; the programmer never
-sees a bubble.
+``compute_step`` (the work of one step), ``stop_side_task`` (cleanup).
+FreeRide runs each step (the paper's ``RunNextStep``) from its phases,
+``host_phase``, ``launch_step`` and ``after_step``, which a task may
+override to reshape its steps. FreeRide handles pausing/resuming and all
+state transitions; the programmer never sees a bubble.
 
 **Imperative** (fallback): the programmer provides one
 ``run_gpu_workload`` body; FreeRide pauses/resumes the process with
@@ -141,48 +143,62 @@ class SideTaskBase(abc.ABC):
         self.steps_done += 1
         self.units_done += self.perf.units_per_step
 
-
-class IterativeSideTask(SideTaskBase):
-    """Step-wise side task for the iterative interface."""
-
-    def run_next_step(self, ctx: SideTaskContext):
-        """One step: host phase, real computation, then the GPU kernel.
-
-        A generator so the middleware can interleave it with virtual time;
-        the default body realizes the profiled step duration with the
-        profiled host/GPU split (:func:`step_split`). Override it, or one
-        of its two phases below, for custom step structure: the runtime
-        then drives ``run_next_step`` as a generator. A task that keeps
-        all three has its steps run as callbacks on the same events
-        instead (``repro.core.runtime._StepDriver``, which resolves the
-        same split and sigma once per START), with identical results.
-        """
-        host = self._host_phase(ctx)
-        if host is not None:
-            yield ctx.engine.timeout(host)
-        yield self._launch_step(ctx)
-        self._account_step()
-
-    def _host_phase(self, ctx: SideTaskContext) -> float | None:
-        """The stock step's host phase: the jittered host seconds, drawn
-        now, or None when the profile puts all of the step on the GPU."""
+    # -- one step's phases (override to reshape a step) ------------------
+    def host_phase(self, ctx: SideTaskContext) -> float | None:
+        """The step's host phase: the jittered host seconds, drawn now, or
+        None when the profile puts all of the step on the GPU."""
         host_s = step_split(self.perf)[0]
         if host_s > 0:
             return ctx.jitter(host_s)
         return None
 
-    def _launch_step(self, ctx: SideTaskContext) -> SimEvent:
-        """The stock step after its host phase: ``compute_step``, then
-        the jittered kernel; returns the kernel, its own completion
-        event."""
+    def launch_step(self, ctx: SideTaskContext) -> SimEvent:
+        """The step after its host phase: ``compute_step``, then the
+        jittered kernel; returns the kernel, its own completion event."""
         self.compute_step()
         perf = self.perf
         return ctx.proc.launch_kernel(
             ctx.jitter(step_split(perf)[1]), perf.sm_demand, self.name)
 
+    def after_step(self, ctx: SideTaskContext) -> None:
+        """Runs once the step's kernel has completed and the step is
+        counted; the stock one does nothing."""
+
     @abc.abstractmethod
     def compute_step(self) -> None:
         """The real (host-executed) computation of one step."""
+
+
+class IterativeSideTask(SideTaskBase):
+    """Step-wise side task for the iterative interface.
+
+    FreeRide runs each step from its phases (``host_phase``,
+    ``launch_step``, ``after_step``), so a task reshapes its steps by
+    overriding those; overriding ``run_next_step`` raises ``TypeError``.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "run_next_step" in vars(cls):
+            raise TypeError(
+                f"{cls.__qualname__} overrides run_next_step; override its "
+                "phases host_phase, launch_step or after_step instead")
+
+    def run_next_step(self, ctx: SideTaskContext):
+        """One step as a generator, for loops that run a task on their
+        own: the profiler and the dedicated and co-location baselines.
+
+        The host phase's timeout, then ``launch_step``'s kernel, the
+        step's accounting and ``after_step``. Within FreeRide the runtime
+        runs the same phases as callbacks
+        (``repro.core.runtime._StepDriver``).
+        """
+        host = self.host_phase(ctx)
+        if host is not None:
+            yield ctx.engine.timeout(host)
+        yield self.launch_step(ctx)
+        self._account_step()
+        self.after_step(ctx)
 
 
 class ImperativeSideTask(SideTaskBase):
@@ -196,19 +212,10 @@ class ImperativeSideTask(SideTaskBase):
         """
         while not self.is_finished:
             yield from ctx.proc.wait_if_stopped()
-            host_s, kernel_s = step_split(self.perf)
-            if host_s > 0:
-                yield ctx.engine.timeout(ctx.jitter(host_s))
+            host = self.host_phase(ctx)
+            if host is not None:
+                yield ctx.engine.timeout(host)
             yield from ctx.proc.wait_if_stopped()
-            self.compute_step()
-            kernel = ctx.proc.launch_kernel(
-                work_s=ctx.jitter(kernel_s),
-                sm_demand=self.perf.sm_demand,
-                name=self.name,
-            )
-            yield kernel
+            yield self.launch_step(ctx)
             self._account_step()
-
-    @abc.abstractmethod
-    def compute_step(self) -> None:
-        """The real (host-executed) computation of one step."""
+            self.after_step(ctx)

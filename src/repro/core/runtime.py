@@ -7,11 +7,11 @@ RPCs; the runtime applies them at the granularity its interface allows:
 * :class:`IterativeRuntime` checks for pending transition RPCs between
   steps and enforces the **program-directed** time limit — a step only
   runs when the bubble's remaining time covers the profiled step duration
-  plus a safety margin (section 4.5). Steps of a task that keeps the
-  stock ``run_next_step`` and its phases run as callbacks on the step's
-  own timers and kernel event (:class:`_StepDriver`); an overridden
-  hook, or a fault-injected run, takes the generator step loop, with
-  identical results;
+  plus a safety margin (section 4.5). Every step runs as callbacks on
+  the step's own timers and kernel event (:class:`_StepDriver`), from
+  the task's phases (``host_phase``, ``launch_step``, ``after_step``),
+  with a fault injector's failed steps and straggler delays as timers of
+  their own;
 * :class:`ImperativeRuntime` maps pause/resume onto SIGTSTP/SIGCONT; the
   stop signal cannot recall kernels already on the device, so those
   overlap with training (section 5).
@@ -33,6 +33,7 @@ from repro.core.interfaces import (
     JITTER_SIGMA,
     ImperativeSideTask,
     IterativeSideTask,
+    SideTaskBase,
     SideTaskContext,
     step_split,
 )
@@ -375,31 +376,16 @@ class IterativeRuntime(SideTaskRuntime):
 
     def _running_loop(self, bubble_end: float | None):
         """Run steps while RUNNING; returns True when STOP arrived."""
-        # Loop invariants, read once per START: the runtime's collaborators
-        # (a restore replaces ctx, injector and stage only on a new loop)
-        # and the calibration constants.
-        sim = self.sim
-        machine = self.machine
-        commands = self._commands
-        workload = self.workload
-        ctx = self.ctx
-        injector = self.injector
-        checkpoint = self.spec.checkpoint
-        name = self.spec.name
-        step_time = self.spec.profile.step_time_s
-        # now + step_time * margin, with the product rounded once here
-        reach = (None if step_time is None else
-                 step_time * (1.0 + calibration.STEP_FIT_SAFETY_MARGIN))
-        overhead = calibration.ITERATIVE_STEP_OVERHEAD_S
-        driver = None
-        if injector is None and _stock_steps(workload):
-            driver = _StepDriver(self, reach, overhead)
-        while machine.state is _RUNNING:
-            if commands:
-                command = commands.popleft()
+        # The step driver reads the runtime's collaborators once per
+        # START: a restore replaces ctx, injector and stage only on a new
+        # loop.
+        driver = _StepDriver(self)
+        while self.machine.state is _RUNNING:
+            if self._commands:
+                command = self._commands.popleft()
                 if command.kind is CommandKind.PAUSE:
-                    machine.apply(Transition.PAUSE, sim.now)
-                    self.last_paused_at = sim.now
+                    self.machine.apply(Transition.PAUSE, self.sim.now)
+                    self.last_paused_at = self.sim.now
                     self._notify()
                     return False
                 if command.kind is CommandKind.STOP:
@@ -407,47 +393,20 @@ class IterativeRuntime(SideTaskRuntime):
                 if command.kind is CommandKind.START:
                     bubble_end = command.bubble_end  # refreshed window
                 continue
-            if not _step_fits(sim.now, reach, bubble_end):
+            if not _step_fits(self.sim.now, driver.reach, bubble_end):
                 # Program-directed limit: idle out the bubble's tail.
-                wait_start = sim.now
+                wait_start = self.sim.now
                 yield from self._wait_for_command_event()
-                idle_end = min(sim.now, max(bubble_end, wait_start))
+                idle_end = min(self.sim.now, max(bubble_end, wait_start))
                 self.insufficient_s += max(0.0, idle_end - wait_start)
                 continue
-            if driver is not None:
-                # Steps run as callbacks until one of this loop's checks
-                # fails; the driver then resumes this generator in place,
-                # right after a step's accounting.
-                yield driver.start(bubble_end)
-            else:
-                if overhead > 0:
-                    yield sim.timeout(overhead)
-                    self.overhead_s += overhead
-                if injector is not None and injector.step_fails(name):
-                    # The step ran but its result is lost; the loop
-                    # re-runs it.
-                    fail_start = sim.now
-                    if step_time is not None and step_time > 0:
-                        yield sim.timeout(step_time)
-                    self.step_failures += 1
-                    self.wasted_s += sim.now - fail_start
-                    continue
-                machine.apply(_RUN_NEXT_STEP, sim.now)
-                step_start = sim.now
-                yield from workload.run_next_step(ctx)
-                if injector is not None:
-                    # Straggler window: the step takes factor× its
-                    # normal time.
-                    factor = injector.slowdown_factor(self.stage, step_start)
-                    if factor > 1.0:
-                        extra = (sim.now - step_start) * (factor - 1.0)
-                        if extra > 0:
-                            yield sim.timeout(extra)
-                            self.slowdown_s += extra
-                self.running_s += sim.now - step_start
-            if workload.is_finished:
+            # Steps run as callbacks until one of this loop's checks
+            # fails; the driver then resumes this generator in place,
+            # right after a step.
+            yield driver.start(bubble_end)
+            if self.workload.is_finished:
                 return True
-            if checkpoint is not None and self._should_checkpoint():
+            if self._should_checkpoint():
                 yield from self._take_checkpoint()
         return False
 
@@ -488,82 +447,85 @@ def _step_fits(now: float, reach: float | None,
     return bubble_end is None or reach is None or now + reach <= bubble_end
 
 
-#: the stock step, in the three hooks the step driver stands in for
-_STOCK_STEP_HOOKS = ("run_next_step", "_host_phase", "_launch_step")
-
-
-def _stock_steps(workload: IterativeSideTask) -> bool:
-    """True when ``workload`` runs ``IterativeSideTask.run_next_step``
-    with the stock ``_host_phase`` and ``_launch_step``."""
-    return all(
-        getattr(getattr(workload, hook), "__func__", None)
-        is getattr(IterativeSideTask, hook)
-        for hook in _STOCK_STEP_HOOKS)
-
-
 class _StepDriver:
-    """Runs stock iterative steps as callbacks on the step's own entries.
+    """Runs an iterative task's steps as callbacks on their own entries.
 
-    The generator step loop pays three process resumes per step, each
-    through ``_guarded`` → ``_main_loop`` → ``_running_loop`` →
-    ``run_next_step``. The driver does the same work from callbacks with
-    the same ``(time, seq)`` keys, with every RNG draw and state change
-    at the same entry as the generator's. Its two timers are bare heap
-    entries (``Engine.call_later``) where the generator yields timeout
-    events, and its third callback runs on the kernel itself:
+    A step's timers are bare heap entries (``Engine.call_later``), each
+    at the instant, and with the ``(time, seq)`` key, of the timeout a
+    process stepping the task itself would wait on, and the kernel is
+    its own completion event. Every RNG draw and state change lands on
+    that entry:
 
     * :meth:`_on_overhead`, the overhead timer: ``overhead_s``, then
-      :meth:`_step`: ``RunNextStep``, the step's start, the host draw
-      and the host timer;
+      :meth:`_step`: the injector's failure check, ``RunNextStep``, the
+      step's start, the host phase and the host timer;
     * :meth:`_on_host`, the host timer: :meth:`_launch`, the step's
-      launch (``compute_step``, the kernel draw and the launch);
-    * :meth:`_on_done`, the kernel's completion: the step's accounting
-      and ``running_s``, then the loop's checks in the generator's order
-      (finished, checkpoint due, state, commands, fit) and the next
-      overhead timer.
+      launch;
+    * :meth:`_on_done`, the kernel's completion: the step's accounting,
+      ``after_step``, the injector's straggler factor and
+      ``running_s``, then the loop's checks in its order (finished,
+      checkpoint due, state, commands, fit) and the next overhead
+      timer;
+    * :meth:`_on_fault`, the injector's timer: a failed step's lost
+      time or the time a straggler window adds to a step, after which
+      the loop itself runs its checks and starts the next step.
 
-    The stock step (``IterativeSideTask.run_next_step`` and its phases
-    ``_host_phase`` and ``_launch_step``) is resolved once per START: the
-    host and kernel seconds of :func:`step_split`, the task's normal
-    source from its context, its kernel's SM demand and name, and the
-    bound launch. Each draw is ``ctx.jitter``'s, ``exp(0.0 + z * σ) *
-    mean`` with ``σ = JITTER_SIGMA``, and a zero kernel mean draws
-    nothing, as ``ctx.jitter`` returns 0.0. ``_step_fits`` is the fit
-    check of both loops.
+    The stock phases are resolved once per START: the host and kernel
+    seconds of :func:`step_split`, the task's normal source, its
+    kernel's SM demand and name and the bound launch; each draw is
+    ``ctx.jitter``'s, ``exp(0.0 + z * JITTER_SIGMA) * mean``, and a zero
+    kernel mean draws nothing. A phase the task's class overrides
+    (``host_phase``, ``launch_step``, ``after_step``) is called instead.
 
-    A zero overhead or host time skips that timer, as the generator
-    does: the next phase runs at once. Meanwhile the process waits on
-    ``wait``, an event that is never scheduled. When a check fails, or a
-    phase raises, the driver resumes it in place (no event, no seq, no
-    count), so the generator takes over at the same instant. A kill
-    takes the process's callback off ``wait``; every later callback of
-    the driver then does nothing, as the generator's removed resume
-    callbacks do. The phases :meth:`start` runs before the process waits
-    raise directly.
+    A zero overhead, host or failed-step time skips that timer: the next
+    phase runs at once. Meanwhile the process waits on ``wait``, an
+    event that is never scheduled. When a check fails, or a phase
+    raises, the driver resumes it in place (no event, no seq, no
+    count), so :meth:`IterativeRuntime._running_loop` takes over at the
+    same instant. A kill takes the process's callback off ``wait``;
+    every later callback of the driver then does nothing, as a waiting
+    process's removed resume callback would. The phases :meth:`start`
+    runs before the process waits raise directly.
     """
 
     __slots__ = ("runtime", "engine", "machine", "commands", "workload",
-                 "checkpoint", "reach", "overhead", "host_s", "kernel_s",
-                 "sm_demand", "kernel_name", "normal", "compute_step",
-                 "launch_kernel", "bubble_end", "wait", "step_start",
-                 "on_overhead", "on_host", "on_done")
+                 "ctx", "checkpoint", "reach", "overhead", "injector",
+                 "fail_s", "host_s", "kernel_s", "sm_demand", "kernel_name",
+                 "normal", "compute_step", "launch_kernel", "host_phase",
+                 "launch_step", "after_step", "bubble_end", "wait",
+                 "step_start", "on_overhead", "on_host", "on_done",
+                 "on_fault")
 
-    def __init__(self, runtime: IterativeRuntime, reach: float | None,
-                 overhead: float):
+    def __init__(self, runtime: IterativeRuntime):
         self.runtime = runtime
         self.engine = runtime.sim
         self.machine = runtime.machine
         self.commands = runtime._commands
         self.workload = workload = runtime.workload
-        self.checkpoint = runtime.spec.checkpoint
-        self.reach = reach
-        self.overhead = overhead
-        # the stock step, resolved once per START
+        self.ctx = ctx = runtime.ctx
+        spec = runtime.spec
+        self.checkpoint = spec.checkpoint
+        step_time = spec.profile.step_time_s
+        # now + step_time * margin, with the product rounded once here
+        self.reach = (None if step_time is None else
+                      step_time * (1.0 + calibration.STEP_FIT_SAFETY_MARGIN))
+        self.overhead = calibration.ITERATIVE_STEP_OVERHEAD_S
+        self.injector = runtime.injector
+        # a failed step loses the profiled step time
+        self.fail_s = step_time or 0.0
+        # a phase the task's class overrides is called instead
+        cls = type(workload)
+        self.host_phase, self.launch_step, self.after_step = (
+            None if getattr(cls, phase) is getattr(SideTaskBase, phase)
+            else getattr(workload, phase)
+            for phase in ("host_phase", "launch_step", "after_step"))
+        # the stock step, resolved once per START; an overridden host
+        # phase replaces the stock host seconds
         perf = workload.perf
-        self.host_s, self.kernel_s = step_split(perf)
+        host_s, self.kernel_s = step_split(perf)
+        self.host_s = host_s if self.host_phase is None else 0.0
         self.sm_demand = perf.sm_demand
         self.kernel_name = workload.name
-        ctx = runtime.ctx
         self.normal = ctx.normal_source()
         self.compute_step = workload.compute_step
         self.launch_kernel = ctx.proc.launch_kernel
@@ -574,6 +536,7 @@ class _StepDriver:
         self.on_overhead = self._on_overhead
         self.on_host = self._on_host
         self.on_done = self._on_done
+        self.on_fault = self._on_fault
 
     def start(self, bubble_end: float | None) -> SimEvent:
         """Start a step; returns the event the process waits on."""
@@ -594,26 +557,47 @@ class _StepDriver:
         resume(wait)
 
     def _step(self) -> None:
-        """``RunNextStep`` and the host phase; without one, the launch."""
+        """A step attempt: a failed one's lost time, or ``RunNextStep``
+        and the host phase; without one, the launch."""
         now = self.engine.now
-        self.machine.apply(_RUN_NEXT_STEP, now)
         self.step_start = now
+        if self.injector is not None and self.injector.step_fails(
+                self.runtime.spec.name):
+            # The step runs but its result is lost; it runs again.
+            if self.fail_s > 0:
+                self.engine.call_later(self.fail_s, self.on_fault)
+            elif self.wait.callbacks:
+                self._on_fault(None)
+            else:
+                # inside start(), whose loop checks passed at this instant
+                self.runtime.step_failures += 1
+                self._step()
+            return
+        self.machine.apply(_RUN_NEXT_STEP, now)
         host_s = self.host_s
         if host_s > 0:
             self.engine.call_later(
                 math.exp(0.0 + self.normal() * JITTER_SIGMA) * host_s,
                 self.on_host)
-        else:
+        elif self.host_phase is None or (
+                host_s := self.host_phase(self.ctx)) is None:
             self._launch()
+        else:
+            self.engine.call_later(host_s, self.on_host)
 
     def _launch(self) -> None:
-        """``compute_step``, the kernel draw and the launch."""
-        self.compute_step()
-        kernel_s = self.kernel_s
-        work_s = (0.0 if kernel_s <= 0 else
-                  math.exp(0.0 + self.normal() * JITTER_SIGMA) * kernel_s)
-        self.launch_kernel(work_s, self.sm_demand,
-                           self.kernel_name).callbacks.append(self.on_done)
+        """The step's launch: ``compute_step``, the kernel draw and the
+        kernel."""
+        if self.launch_step is not None:
+            kernel = self.launch_step(self.ctx)
+        else:
+            self.compute_step()
+            kernel_s = self.kernel_s
+            kernel = self.launch_kernel(
+                0.0 if kernel_s <= 0 else
+                math.exp(0.0 + self.normal() * JITTER_SIGMA) * kernel_s,
+                self.sm_demand, self.kernel_name)
+        kernel.callbacks.append(self.on_done)
 
     def _on_overhead(self, _arg: None) -> None:
         if not self.wait.callbacks:
@@ -621,7 +605,7 @@ class _StepDriver:
         try:
             self.runtime.overhead_s += self.overhead
             self._step()
-        except Exception as exc:  # noqa: BLE001 - the generator raises it
+        except Exception as exc:  # noqa: BLE001 - the loop raises it
             self._resume(exc)
 
     def _on_host(self, _arg: None) -> None:
@@ -629,7 +613,7 @@ class _StepDriver:
             return  # killed
         try:
             self._launch()
-        except Exception as exc:  # noqa: BLE001 - the generator raises it
+        except Exception as exc:  # noqa: BLE001 - the loop raises it
             self._resume(exc)
 
     def _on_done(self, kernel: SimEvent) -> None:
@@ -641,7 +625,18 @@ class _StepDriver:
         try:
             workload = self.workload
             workload._account_step()
+            if self.after_step is not None:
+                self.after_step(self.ctx)
             now = self.engine.now
+            if self.injector is not None:
+                # Straggler window: the step takes factor× its normal
+                # time (the factor is 1.0 outside every window).
+                added_s = (now - self.step_start) * (
+                    self.injector.slowdown_factor(self.runtime.stage,
+                                                  self.step_start) - 1.0)
+                if added_s > 0:
+                    self.engine.call_later(added_s, self.on_fault, added_s)
+                    return
             runtime = self.runtime
             runtime.running_s += now - self.step_start
             if not (workload.is_finished
@@ -656,9 +651,24 @@ class _StepDriver:
                 else:
                     self._step()
                 return
-        except Exception as exc:  # noqa: BLE001 - the generator raises it
+        except Exception as exc:  # noqa: BLE001 - the loop raises it
             self._resume(exc)
             return
+        self._resume()
+
+    def _on_fault(self, added_s: float | None) -> None:
+        """A failed step's lost time (``added_s`` None), or the time a
+        straggler window added to a step, has passed: its accounting,
+        then the loop runs its checks and starts the next step."""
+        if not self.wait.callbacks:
+            return  # killed
+        runtime = self.runtime
+        if added_s is None:
+            runtime.step_failures += 1
+            runtime.wasted_s += self.engine.now - self.step_start
+        else:
+            runtime.slowdown_s += added_s
+            runtime.running_s += self.engine.now - self.step_start
         self._resume()
 
 

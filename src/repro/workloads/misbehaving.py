@@ -32,17 +32,18 @@ class NonPausingTask(IterativeSideTask):
     def compute_step(self) -> None:
         pass
 
-    def run_next_step(self, ctx: SideTaskContext):
+    def host_phase(self, ctx: SideTaskContext) -> float | None:
         if self.steps_done < self.honest_steps:
-            yield from super().run_next_step(ctx)
-            return
+            return super().host_phase(ctx)
+        return None  # the runaway kernel launches at once
+
+    def launch_step(self, ctx: SideTaskContext):
+        if self.steps_done < self.honest_steps:
+            return super().launch_step(ctx)
         # Misbehave: one giant kernel that ignores every bubble boundary.
-        yield ctx.proc.launch_kernel(
-            work_s=self.actual_kernel_s,
-            sm_demand=self.perf.sm_demand,
-            name=f"{self.name}:runaway",
-        )
-        self._account_step()
+        return ctx.proc.launch_kernel(self.actual_kernel_s,
+                                      self.perf.sm_demand,
+                                      f"{self.name}:runaway")
 
 
 class MemoryLeakTask(IterativeSideTask):
@@ -58,8 +59,7 @@ class MemoryLeakTask(IterativeSideTask):
     def compute_step(self) -> None:
         pass
 
-    def run_next_step(self, ctx: SideTaskContext):
-        yield from super().run_next_step(ctx)
+    def after_step(self, ctx: SideTaskContext) -> None:
         # The leak: allocate and never free. Crossing the MPS limit raises
         # an OOM that kills this process only.
         ctx.proc.allocate(self.leak_gb_per_step)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import calibration
-from repro.core.interfaces import SideTaskContext
+from repro.core.interfaces import IterativeSideTask, SideTaskContext
 from repro.gpu.process import GPUProcess
 from repro.sim.rng import RandomStreams
 from repro.workloads.model_training import make_resnet18
@@ -88,3 +88,42 @@ class TestIterativeDefaults:
         expected = (calibration.RESNET18.step_time_s
                     * calibration.RESNET18.gpu_duty)
         assert busy == pytest.approx(expected, rel=0.2)
+
+
+class TestStepPhases:
+    def test_overriding_run_next_step_raises(self):
+        with pytest.raises(TypeError, match="host_phase, launch_step or "
+                                            "after_step"):
+            class Custom(IterativeSideTask):  # noqa: F841 - never built
+                def compute_step(self) -> None:
+                    pass
+
+                def run_next_step(self, ctx):
+                    yield from super().run_next_step(ctx)
+
+    def test_run_next_step_runs_the_phases_in_order(self, engine, ctx):
+        """The stock generator step: the host phase's timeout, then
+        ``launch_step``'s kernel, the step's accounting and
+        ``after_step``."""
+        seen = []
+
+        class Recorded(IterativeSideTask):
+            def host_phase(self, ctx):
+                seen.append(("host", engine.now))
+                return 0.25
+
+            def compute_step(self) -> None:
+                seen.append(("compute", engine.now))
+
+            def after_step(self, ctx):
+                seen.append(("after", engine.now, self.steps_done))
+
+        task = Recorded(calibration.RESNET18)
+
+        def body():
+            yield from task.run_next_step(ctx)
+
+        engine.run(until=engine.process(body()))
+        assert [entry[:2] for entry in seen[:2]] == [("host", 0.0),
+                                                     ("compute", 0.25)]
+        assert seen[2] == ("after", engine.now, 1) and engine.now > 0.25

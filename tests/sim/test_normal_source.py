@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.interfaces import JITTER_SIGMA, SideTaskContext
+from repro.core.interfaces import SideTaskContext
 from repro.sim import rng as rng_mod
 from repro.sim.rng import RandomStreams, _derive_seed, normal_source
 
@@ -167,15 +167,21 @@ def test_a_restored_task_continues_its_stream(crash_at, monkeypatch):
     from repro.faults import WorkerCrash
     from repro.workloads.registry import workload_factory
 
+    # Every draw of a task's jitter, the step driver's and ctx.jitter's,
+    # comes from its context's normal source.
     draws = []
-    jitter = SideTaskContext.jitter
+    normal_source = SideTaskContext.normal_source
 
-    def logged(ctx, mean):
-        value = jitter(ctx, mean)
-        draws.append((ctx, mean, value))
-        return value
+    def logged(ctx):
+        normal = normal_source(ctx)
 
-    monkeypatch.setattr(SideTaskContext, "jitter", logged)
+        def draw():
+            value = normal()
+            draws.append((ctx, value))
+            return value
+        return draw
+
+    monkeypatch.setattr(SideTaskContext, "normal_source", logged)
     freeride = FreeRide(common.train_config(epochs=2))
     freeride.submit(workload_factory("pagerank"), name="pr0",
                     checkpoint=CheckpointPolicy(interval_steps=4))
@@ -188,16 +194,15 @@ def test_a_restored_task_continues_its_stream(crash_at, monkeypatch):
     draws = [draw for draw in draws
              if not draw[0].proc.name.startswith("profile:")]
     contexts = []
-    for ctx, *_ in draws:
+    for ctx, _value in draws:
         if all(ctx is not seen for seen in contexts):
             contexts.append(ctx)
     assert len(contexts) == 2  # the first process's, the restored one's
-    before = sum(ctx is contexts[0] for ctx, *_ in draws)
+    before = sum(ctx is contexts[0] for ctx, _value in draws)
     # Where the crash fell: before or after the source turned to blocks.
     assert (before > rng_mod.NORMAL_PREFIX) == (crash_at > 1.0)
     assert before > 0
     assert len(draws) > before + rng_mod.NORMAL_PREFIX
     stream = random.Random(_derive_seed(contexts[0].rng.seed, "task:pr0"))
-    assert [value for *_, value in draws] == [
-        stream.lognormvariate(0.0, JITTER_SIGMA) * mean
-        for _ctx, mean, _value in draws]
+    assert [value for _ctx, value in draws] == [
+        stream.normalvariate(0.0, 1.0) for _draw in draws]

@@ -2,10 +2,10 @@
 
 Every registered scenario must be mentioned in API.md and README.md,
 every ``REPRO_*`` variable the docs name must be read by the code, and
-every CamelCase name in the docs' code spans must be defined by it —
-so code and documentation cannot silently drift apart. The slow half
-(actually *running* every example) lives in ``scripts/check_docs.py``,
-wired into the registry-smoke CI job.
+every CamelCase or private name in the docs' code spans must be defined
+by it — so code and documentation cannot silently drift apart. The slow
+half (actually *running* every example) lives in
+``scripts/check_docs.py``, wired into the registry-smoke CI job.
 """
 
 from __future__ import annotations
@@ -94,6 +94,22 @@ def test_name_check_flags_a_class_nothing_defines(tmp_path, monkeypatch):
     errors = module.check_names_defined()
     assert len(errors) == 1
     assert "['SharedPoolBuilder']" in errors[0]
+
+
+def test_name_check_flags_a_private_name_nothing_defines(tmp_path,
+                                                         monkeypatch):
+    module = _check_docs_script()
+    monkeypatch.setattr(module, "REPO", tmp_path)
+    monkeypatch.setattr(module, "NAME_DOCS", ("README.md",))
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "driver.py").write_text(
+        "class _Driver:\n    def _on_tick(self):\n        pass\n")
+    (tmp_path / "README.md").write_text(
+        "`_Driver._on_tick` runs each tick, not `_Driver._on_tock`; "
+        "`__getattr__` and `_` are Python's.\n")
+    errors = module.check_names_defined()
+    assert len(errors) == 1
+    assert "['_on_tock']" in errors[0]
 
 
 def test_architecture_doc_covers_every_subsystem():
