@@ -41,7 +41,8 @@ from repro.api.spec import ScenarioSpec, WorkloadSpec
 from repro.core.middleware import Cluster, ClusterJob, FreeRide
 from repro.errors import SessionError, SpecError
 from repro.obs import attach_tracer
-from repro.pipeline.engine import PipelineEngine, TrainingResult
+from repro.pipeline.engine import (
+    PipelineEngine, TrainingResult, training_streams)
 from repro.sim.engine import Engine
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -284,7 +285,8 @@ class PipelineRunner:
         self.sim = Engine()
         attach_tracer(self.sim, self.spec.obs)
         self.server = self.spec.cluster.factory()(self.sim)
-        self.engine = PipelineEngine(self.sim, self.server, self.config)
+        self.engine = PipelineEngine(self.sim, self.server, self.config,
+                                     rng=training_streams(self.config))
 
     def run(self) -> TrainingResult:
         self.prepare()

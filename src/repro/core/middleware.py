@@ -56,7 +56,8 @@ from repro.core.worker import ManagedBubble, SideTaskWorker
 from repro.errors import TaskRejectedError
 from repro.gpu.cluster import Server, make_server_i
 from repro.pipeline.config import TrainConfig
-from repro.pipeline.engine import PipelineEngine, TrainingResult, profile_bubbles
+from repro.pipeline.engine import (
+    PipelineEngine, TrainingResult, profile_bubbles, training_streams)
 from repro.pipeline.instrumentation import (
     BubbleListener,
     BubbleProfile,
@@ -328,7 +329,7 @@ class Cluster:
         self.pipelines = [
             PipelineEngine(
                 self.sim, server, job.config,
-                rng=RandomStreams(job.config.seed).spawn("pipeline"),
+                rng=training_streams(job.config),
                 listener=_ManagerListener(
                     self.sim, self.manager, hook_cost_s, rpc_latency_s,
                     stage_offset=offset,

@@ -10,10 +10,9 @@ import typing
 
 from repro.gpu.cluster import make_server_i
 from repro.pipeline.config import TrainConfig, model_config
-from repro.pipeline.engine import solo_training
+from repro.pipeline.engine import solo_training, training_streams
 from repro.sim import engine as sim_engine
 from repro.sim.engine import Engine
-from repro.sim.rng import RandomStreams
 
 #: default epochs for experiments (the paper runs 128; epochs are
 #: repetitive, so rates and ratios are unchanged)
@@ -157,7 +156,7 @@ def baseline_time(config: TrainConfig) -> float:
     Server I with the same jitter stream float for float, and the tests
     check it against one."""
     result = solo_training(make_server_i(Engine()), config,
-                           RandomStreams(config.seed).spawn("pipeline"))
+                           training_streams(config))
     return result.total_time
 
 

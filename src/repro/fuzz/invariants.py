@@ -377,24 +377,21 @@ def _training_progress(spec, outcome):
 
 @invariant(
     "no_speedup",
-    "every pool job's training takes at least its no-side-task time "
-    "T_noSideTask (total_time >= baseline_time(config)): side tasks and "
-    "hooks only slow training down",
+    "every training run, a pool job's or a bare pipeline's, takes at "
+    "least its no-side-task time T_noSideTask (total_time >= "
+    "baseline_time(config)): side tasks and hooks only slow training down",
 )
 def _no_speedup(spec, outcome):
     from repro.experiments.common import baseline_time
 
-    # A pipeline-kind run trains on RandomStreams(config.seed) itself,
-    # not on the "pipeline" child stream baseline_time and every pool
-    # draw their op jitter from, so its time is not comparable.
-    if spec.kind == "pipeline":
-        return
     result = outcome.result
     if spec.kind == "cluster":
         jobs = [(job.name, job.training, config) for job, config
                 in zip(result.jobs, spec.job_configs())]
     else:
-        jobs = [("train", result.training, spec.train_config())]
+        # a pipeline run's result is its training
+        jobs = [("train", getattr(result, "training", result),
+                 spec.train_config())]
     for name, training, config in jobs:
         t_no = baseline_time(config)
         if not training.total_time >= t_no:
@@ -414,10 +411,10 @@ def _solo_timeline(spec, outcome):
         PROFILING_EPOCHS,
         PipelineEngine,
         profile_bubbles,
+        training_streams,
     )
     from repro.pipeline.instrumentation import BubbleProfile
     from repro.sim.engine import Engine
-    from repro.sim.rng import RandomStreams
 
     if spec.kind == "cluster":
         jobs = [(config, job.cluster.factory()) for job, config
@@ -428,7 +425,7 @@ def _solo_timeline(spec, outcome):
         sim = Engine()
         expected = PipelineEngine(
             sim, make_server_i(sim), config,
-            rng=RandomStreams(config.seed).spawn("pipeline"),
+            rng=training_streams(config),
         ).run().total_time
         if baseline_time(config) != expected:
             yield (f"job {index}: baseline_time {baseline_time(config)!r} "

@@ -450,6 +450,14 @@ class _StageEpoch:
         self.sim.call_later(0.0, self.engine._stage_finished)
 
 
+def training_streams(config: TrainConfig) -> RandomStreams:
+    """The op-jitter streams a training run of ``config`` draws from: the
+    ``pipeline`` child of its seed. Its no-side-task baseline
+    (``baseline_time``) draws from the same streams, so a run with
+    nothing co-located takes exactly that time."""
+    return RandomStreams(config.seed).spawn("pipeline")
+
+
 def profile_bubbles(
     server_factory: typing.Callable[[Engine], "Server"],
     config: TrainConfig,

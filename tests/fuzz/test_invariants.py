@@ -161,10 +161,14 @@ def test_a_cluster_job_faster_than_its_baseline_is_caught():
     assert violations[0].message.startswith(jobs[1].name)
 
 
-def test_no_speedup_leaves_pipeline_runs_out():
-    """A pipeline-kind run does not train on its baseline's stream."""
+def test_a_pipeline_run_trains_in_its_baseline_time():
+    """A bare pipeline run trains on its baseline's jitter stream, so it
+    takes exactly T_noSideTask, and a faster one is caught."""
     spec = ScenarioSpec(name="inv", kind="pipeline", seed=1,
                         training=TrainingSpec(epochs=1))
     outcome, _ = _execute(spec)
+    assert outcome.result.total_time == baseline_time(spec.train_config())
+    assert check_invariants(spec, outcome, names=["no_speedup"]) == []
     broken = RunOutcome(result=_sped_up(outcome.result, spec.train_config()))
-    assert check_invariants(spec, broken, names=["no_speedup"]) == []
+    violations = check_invariants(spec, broken, names=["no_speedup"])
+    assert [v.invariant for v in violations] == ["no_speedup"]
