@@ -5,7 +5,7 @@ fine to run locally::
 
     PYTHONPATH=src python scripts/check_docs.py [--skip-examples]
 
-Three invariants:
+Four invariants:
 
 1. every scenario in ``repro list`` is documented — its name appears in
    API.md and in README.md (a scenario nobody can discover from the
@@ -180,9 +180,11 @@ def main(argv: "list[str]") -> int:
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if not errors:
+        examples = ("examples skipped" if "--skip-examples" in argv
+                    else "every example runs")
         print("docs consistent: every scenario documented, "
               "every documented env var read, every documented name "
-              "defined, every example runs")
+              f"defined, {examples}")
     return 1 if errors else 0
 
 

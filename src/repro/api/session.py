@@ -238,10 +238,9 @@ class PoolRunner:
                              if frontend.tenants else None),
             }
             resilience_args = {
-                "records": frontend.records,
+                "requests": frontend.accumulator,
                 "duration_s": open_s,
                 "goodput_rps": metrics.goodput_rps,
-                "request_counts": frontend.outcome_counts,
             }
         if spec.faults is not None:
             from repro.metrics.resilience import resilience_metrics

@@ -529,15 +529,16 @@ METRICS_MODES = ("records", "streaming")
 class MetricsSpec(SpecBase):
     """The scenario's metrics accounting (the ``metrics`` section).
 
-    ``records`` (default) retains every request record and folds them
-    after the run — exact quantiles, byte-identical to every scenario
-    that predates this section. ``streaming`` folds each record into
-    constant-memory accumulators (P² quantile sketches) the moment it
-    turns terminal and then drops it — the scale path for 10^6–10^7
-    request runs, still fully deterministic (serial and pool runs
-    serialize byte-identically) but with approximate tracked quantiles
-    and an empty ``result.records``. Always a section (never None) so
-    ``--set metrics.mode=streaming`` has a path to land on.
+    In both modes the frontend folds each request into its accumulators
+    the moment the request turns terminal, so counts and latency means
+    agree bit for bit between them. ``records`` (default) keeps exact
+    quantiles and every request record in ``result.records``.
+    ``streaming`` keeps P² quantile sketches and drops each record once
+    folded — the scale path for 10^6–10^7 request runs, still fully
+    deterministic (serial and pool runs serialize byte-identically) but
+    with approximate tracked quantiles and an empty ``result.records``.
+    Always a section (never None) so ``--set metrics.mode=streaming``
+    has a path to land on.
     """
 
     mode: str = "records"

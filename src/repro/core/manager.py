@@ -80,6 +80,9 @@ class SideTaskManager:
         self._pending: dict[int, CommandKind] = {}
         #: PREEMPTED tasks parked until a worker can restore them
         self.preempted: list[SideTaskRuntime] = []
+        #: set at teardown (:meth:`close`): parked tasks are abandoned,
+        #: never restored, since no STOP would reach a restored one
+        self.closed = False
         self._sweep_scheduled = False
 
     # ------------------------------------------------------------------
@@ -329,9 +332,19 @@ class SideTaskManager:
         for listener in self.capacity_listeners:
             listener()
 
+    def close(self) -> None:
+        """Teardown began: abandon the parked tasks, now and whenever a
+        later crash preempts one."""
+        self.closed = True
+        self._place_preempted()
+
     def _place_preempted(self) -> None:
         """Restore parked tasks wherever Algorithm 1 finds room."""
         if not self.preempted:
+            return
+        if self.closed:
+            for task in list(self.preempted):
+                task.abandon("preempted at teardown (never restored)")
             return
         waiting: list[SideTaskRuntime] = []
         for task in self.preempted:

@@ -433,9 +433,9 @@ class Cluster:
         serving layer (which interposes its frontend close in between).
         """
         # Parked PREEMPTED tasks first: they have no process to stop and
-        # must not be re-placed during the settle window.
-        for task in list(self.manager.preempted):
-            task.abandon("preempted at teardown (never restored)")
+        # must not be re-placed during the settle window, nor must a task
+        # that a crash in the window preempts.
+        self.manager.close()
         for task in self.manager.live_tasks():
             self.manager.stop_task(task)
         self.sim.run(until=self.sim.now + settle_s)

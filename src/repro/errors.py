@@ -83,22 +83,6 @@ class TaskRejectedError(SideTaskError):
         self.eligible_workers = eligible_workers
 
 
-class RetryExhaustedError(SideTaskError):
-    """Every allowed attempt of a retried operation failed.
-
-    Mirrors :class:`TaskRejectedError`: carries the context a caller
-    needs to act — which task, how many attempts were made, and the last
-    failure observed — with the message embedding all of it.
-    """
-
-    def __init__(self, message: str, task_name: str = "",
-                 attempts: int = 0, last_failure: str = ""):
-        super().__init__(message)
-        self.task_name = task_name
-        self.attempts = attempts
-        self.last_failure = last_failure
-
-
 class RpcError(ReproError):
     """An RPC could not be delivered (e.g. the peer is gone)."""
 

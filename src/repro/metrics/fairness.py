@@ -1,9 +1,8 @@
 """Fairness accounting for multi-tenant serving runs.
 
-Groups a run's request records by tenant and reports, per tenant, the
-same lifecycle counters and latency quantiles :func:`~repro.metrics.
-latency.serving_metrics` reports for the aggregate — plus the two
-headline fairness numbers:
+Reports, per tenant, the same lifecycle counters and latency quantiles
+:class:`~repro.metrics.latency.ServingAccumulator` folds for the
+aggregate — plus the two headline fairness numbers:
 
 * **Jain's fairness index** over weight-normalized goodput
   (``goodput_i / weight_i``): 1.0 means every tenant receives service
@@ -17,7 +16,10 @@ Tenants come in as anything with ``name``/``weight`` attributes
 (:class:`~repro.tenancy.tenants.TenantShare` or
 :class:`~repro.api.spec.TenantSpec`); records from tenants nobody
 declared are accounted under their own name at weight 1, in first-seen
-order, so the numbers never silently drop traffic.
+order, so the numbers never silently drop traffic. The serving frontend
+feeds one accumulator per tenant as requests settle and calls
+:func:`fairness_from_accumulators`; :func:`fairness_metrics` groups a
+list of records into the same accumulators first.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.metrics.latency import (
     LatencyStats,
     ServingAccumulator,
     ServingMetrics,
-    serving_metrics,
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -158,22 +159,13 @@ def fairness_metrics(
     ``tenants`` fixes the reporting order and the weights; tenants that
     appear only in the traffic are appended at weight 1.
     """
-    records = list(records)
-    names = [share.name for share in tenants]
-    weights = {share.name: share.weight for share in tenants}
+    accumulators: "dict[str, ServingAccumulator]" = {}
     for record in records:
         tenant = record.request.tenant
-        if tenant not in weights:
-            names.append(tenant)
-            weights[tenant] = 1.0
-    per_tenant = {
-        name: serving_metrics(
-            (record for record in records if record.request.tenant == name),
-            duration_s=duration_s,
-        )
-        for name in names
-    }
-    return _assemble_fairness(names, weights, per_tenant, duration_s)
+        if tenant not in accumulators:
+            accumulators[tenant] = ServingAccumulator()
+        accumulators[tenant].add(record)
+    return fairness_from_accumulators(accumulators, tenants, duration_s)
 
 
 def fairness_from_accumulators(
@@ -181,13 +173,11 @@ def fairness_from_accumulators(
     tenants: typing.Sequence = (),
     duration_s: float = 0.0,
 ) -> FairnessMetrics:
-    """Streaming-mode fairness: identical accounting to
-    :func:`fairness_metrics`, but over per-tenant accumulators the
-    frontend fed as requests settled, so no record retention is needed.
+    """Per-tenant fairness accounting over one accumulator per tenant.
 
-    ``accumulators`` must be keyed by tenant name in first-arrival order
-    (the frontend registers tenants at arrival time precisely so that
-    undeclared-tenant ordering matches the records-mode fold).
+    ``accumulators`` must be keyed by tenant name in first-arrival order:
+    undeclared tenants are reported in that order (the frontend
+    registers each tenant at its first arrival).
     """
     names = [share.name for share in tenants]
     weights = {share.name: share.weight for share in tenants}
@@ -197,19 +187,9 @@ def fairness_from_accumulators(
             weights[tenant] = 1.0
     per_tenant = {
         name: (accumulators[name] if name in accumulators
-               else ServingAccumulator(streaming=True)).metrics(duration_s)
+               else ServingAccumulator()).metrics(duration_s)
         for name in names
     }
-    return _assemble_fairness(names, weights, per_tenant, duration_s)
-
-
-def _assemble_fairness(
-    names: "list[str]",
-    weights: "dict[str, float]",
-    per_tenant: "dict[str, ServingMetrics]",
-    duration_s: float,
-) -> FairnessMetrics:
-    """Shared tail: per-tenant metrics -> usages + fairness indices."""
     goodputs = [per_tenant[name].goodput_rps for name in names]
     total_goodput = sum(goodputs)
     total_weight = sum(weights[name] for name in names)

@@ -1,6 +1,7 @@
 """Latency and goodput accounting for the online serving layer.
 
-Two interchangeable accumulators share one surface:
+Two interchangeable latency stats share one surface (``count``,
+``mean``, ``max``, ``quantile``, ``p50``/``p95``/``p99``, ``summary``):
 
 * :class:`LatencyStats` (default) keeps every sample in a sorted list —
   exact quantiles, O(n) memory, the right tool at serving-experiment
@@ -26,14 +27,14 @@ Two interchangeable accumulators share one surface:
     to 47%; descending exponential input's median is 43–47% off on
     every seed, its p95 and p99 up to 128% and 52%.
 
-:func:`serving_metrics` folds a run's request records into the capacity
-numbers the `serve` experiment tabulates: rejection rate, p50/p95/p99
-queueing and completion latency, throughput, and goodput (SLO-met
-completions per second — the serving analogue of the paper's useful-work
-throughput). :class:`ServingAccumulator` is the same fold exposed
-one-record-at-a-time, so the frontend can account for each request the
-moment it reaches a terminal state and then *drop* the record — the
-constant-memory half of the streaming mode.
+:class:`ServingAccumulator` folds request records, one at a time, into
+the capacity numbers the `serve` experiment tabulates: rejection rate,
+p50/p95/p99 queueing and completion latency, throughput, and goodput
+(SLO-met completions per second — the serving analogue of the paper's
+useful-work throughput). The serving frontend feeds each request to one
+the moment it reaches a terminal outcome, in both metrics modes; the
+mode picks only the stats class. :func:`serving_metrics` runs the same
+fold over a list of records.
 """
 
 from __future__ import annotations
@@ -56,38 +57,14 @@ def _interpolated_quantile(samples: "typing.Sequence[float]",
     return samples[low] * (1.0 - fraction) + samples[high] * fraction
 
 
-class LatencyStats:
-    """Streaming exact-quantile accumulator over latency samples."""
-
-    def __init__(self):
-        self._samples: list[float] = []
-        self._total = 0.0
-
-    def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"latency cannot be negative, got {value}")
-        bisect.insort(self._samples, value)
-        self._total += value
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
+class _LatencyStatsBase:
+    """What the two stats classes share; a subclass keeps ``count``,
+    ``_total``, ``max`` and ``quantile``."""
 
     @property
     def mean(self) -> float:
-        return self._total / len(self._samples) if self._samples else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._samples[-1] if self._samples else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile, 0 <= q <= 1 (0.0 when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
-            return 0.0
-        return _interpolated_quantile(self._samples, q)
+        count = self.count
+        return self._total / count if count else 0.0
 
     @property
     def p50(self) -> float:
@@ -111,6 +88,36 @@ class LatencyStats:
             "p99": self.p99,
             "max": self.max,
         }
+
+
+class LatencyStats(_LatencyStatsBase):
+    """Exact-quantile accumulator over latency samples."""
+
+    def __init__(self):
+        self._samples: list[float] = []
+        self._total = 0.0
+
+    def observe(self, value: float) -> None:
+        if value < 0:
+            raise ValueError(f"latency cannot be negative, got {value}")
+        bisect.insort(self._samples, value)
+        self._total += value
+
+    @property
+    def count(self) -> int:
+        return len(self._samples)
+
+    @property
+    def max(self) -> float:
+        return self._samples[-1] if self._samples else 0.0
+
+    def quantile(self, q: float) -> float:
+        """Linear-interpolated quantile, 0 <= q <= 1 (0.0 when empty)."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if not self._samples:
+            return 0.0
+        return _interpolated_quantile(self._samples, q)
 
 
 class P2Quantile:
@@ -211,7 +218,7 @@ class P2Quantile:
 TRACKED_QUANTILES = (0.50, 0.95, 0.99)
 
 
-class StreamingLatencyStats:
+class StreamingLatencyStats(_LatencyStatsBase):
     """Constant-memory :class:`LatencyStats` stand-in over P² sketches.
 
     Tracks count/mean/max exactly and the :data:`TRACKED_QUANTILES`
@@ -246,10 +253,6 @@ class StreamingLatencyStats:
         return self._count
 
     @property
-    def mean(self) -> float:
-        return self._total / self._count if self._count else 0.0
-
-    @property
     def max(self) -> float:
         return self._max
 
@@ -266,29 +269,6 @@ class StreamingLatencyStats:
                 f"streaming stats only track quantiles "
                 f"{sorted(self._sketches)}, got {q}")
         return sketch.value
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-    def summary(self) -> dict:
-        """Same shape as :meth:`LatencyStats.summary`."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.max,
-        }
 
 
 @dataclasses.dataclass
@@ -337,19 +317,15 @@ class ServingMetrics:
 class ServingAccumulator:
     """One-record-at-a-time fold behind :func:`serving_metrics`.
 
-    The streaming metrics mode feeds each request record into an
-    accumulator the moment it reaches a terminal state (rejected,
-    completed, failed, exhausted, or leftover at close) and then drops
-    the record — so a 10^7-request run needs memory for live requests
-    only, never the whole history. ``streaming=True`` swaps the exact
-    sorted-list quantiles for P² sketches; the counter semantics are
-    identical in both flavors (and identical to the classic
-    whole-records fold, which is now implemented on top of this).
+    The serving frontend feeds each request record into an accumulator
+    the moment it reaches a terminal outcome (rejected, completed,
+    failed, exhausted, or leftover at close), so the metrics never need
+    the whole history. ``streaming=True`` swaps the exact sorted-list
+    quantiles for P² sketches; the counters are the same either way.
     """
 
     def __init__(self, streaming: bool = False):
         stats = StreamingLatencyStats if streaming else LatencyStats
-        self.streaming = streaming
         self.queueing = stats()
         self.completion = stats()
         self.offered = self.admitted = self.rejected = self.assigned = 0
@@ -362,8 +338,8 @@ class ServingAccumulator:
 
     def add(self, record: "RequestRecord") -> None:
         """Fold one *terminal* request record into the tallies."""
-        # The resilience ledger counts retry attempts and failure
-        # outcomes over *all* records, offered or not — mirror that
+        # The resilience tallies count retry attempts and failure
+        # outcomes over *all* records, offered or not, so they come
         # before the open-load gate below.
         self.retries += max(0, record.attempts - 1)
         if record.outcome == "failed":

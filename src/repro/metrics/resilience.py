@@ -7,11 +7,11 @@
 * **runtime recovery accounting** — preemptions, restores, checkpoints
   and their overhead, wasted work (steps rolled back plus re-run step
   time), injected step failures;
-* **request records** — retries spent, and requests that ended in an
-  explicit "failed"/"exhausted" outcome.
+* **the serving frontend's accumulator** — retries spent, and requests
+  that ended in an explicit "failed"/"exhausted" outcome.
 
 Goodput-under-failure is taken from the ordinary serving fold
-(:func:`~repro.metrics.latency.serving_metrics`): the resilience table
+(:class:`~repro.metrics.latency.ServingAccumulator`): the resilience table
 reports the same goodput number a healthy run would, so the degradation
 is read directly off the fault axis.
 """
@@ -21,23 +21,10 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.metrics.latency import ServingAccumulator
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.middleware import Cluster
-    from repro.serving.frontend import RequestRecord
-
-
-@dataclasses.dataclass(frozen=True)
-class RequestOutcomeCounts:
-    """Pre-folded request-layer tallies for streaming metrics mode.
-
-    When the frontend drops records as they settle, it keeps these three
-    counters (via :class:`~repro.metrics.latency.ServingAccumulator`) so
-    :func:`resilience_metrics` never needs the records themselves.
-    """
-
-    retries: int = 0
-    failed: int = 0
-    exhausted: int = 0
 
 
 @dataclasses.dataclass
@@ -76,16 +63,15 @@ class ResilienceMetrics:
 
 def resilience_metrics(
     pool: "Cluster",
-    records: "typing.Iterable[RequestRecord] | None" = None,
+    requests: "ServingAccumulator | None" = None,
     duration_s: float = 0.0,
     goodput_rps: float = 0.0,
-    request_counts: "RequestOutcomeCounts | None" = None,
 ) -> ResilienceMetrics:
     """Fold a finished run's ledgers into :class:`ResilienceMetrics`.
 
-    ``request_counts`` supplies the request-layer tallies pre-folded
-    (streaming metrics mode, where no records survive the run); it takes
-    precedence over ``records`` when both are given.
+    ``requests`` is the serving frontend's accumulator, which tallied
+    each request's retries and failure outcome as it settled; a run
+    that served no traffic passes none.
     """
     crashes = restarts = 0
     downtime_s = 0.0
@@ -126,19 +112,8 @@ def resilience_metrics(
         wasted_s += runtime.wasted_s
         step_failures += runtime.step_failures
 
-    retries = failed_requests = exhausted_requests = 0
-    if request_counts is not None:
-        retries = request_counts.retries
-        failed_requests = request_counts.failed
-        exhausted_requests = request_counts.exhausted
-    elif records is not None:
-        for record in records:
-            retries += max(0, record.attempts - 1)
-            if record.outcome == "failed":
-                failed_requests += 1
-            elif record.outcome == "exhausted":
-                exhausted_requests += 1
-
+    if requests is None:
+        requests = ServingAccumulator()
     return ResilienceMetrics(
         crashes=crashes,
         restarts=restarts,
@@ -152,8 +127,8 @@ def resilience_metrics(
         wasted_steps=wasted_steps,
         wasted_s=wasted_s,
         step_failures=step_failures,
-        retries=retries,
-        failed_requests=failed_requests,
-        exhausted_requests=exhausted_requests,
+        retries=requests.retries,
+        failed_requests=requests.failed_requests,
+        exhausted_requests=requests.exhausted_requests,
         goodput_under_failure_rps=goodput_rps,
     )

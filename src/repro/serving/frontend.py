@@ -25,17 +25,8 @@ from repro.core.states import SideTaskState
 from repro.core.task_spec import TaskProfile, TaskSpec
 from repro.core.profiler import profile_side_task
 from repro.pipeline.engine import TrainingResult
-from repro.metrics.fairness import (
-    FairnessMetrics,
-    fairness_from_accumulators,
-    fairness_metrics,
-)
-from repro.metrics.latency import (
-    ServingAccumulator,
-    ServingMetrics,
-    serving_metrics,
-)
-from repro.metrics.resilience import RequestOutcomeCounts
+from repro.metrics.fairness import FairnessMetrics, fairness_from_accumulators
+from repro.metrics.latency import ServingAccumulator, ServingMetrics
 from repro.metrics.resilience import ResilienceMetrics
 from repro.serving import slo as slo_mod
 from repro.serving.arrivals import TaskRequest
@@ -340,6 +331,13 @@ class ServingFrontend:
     :class:`~repro.tenancy.tenants.TenantShare` descriptors — sizes the
     tenant-aware admission policy (``per_tenant_token_bucket``) and the
     weighted-fair dispatch discipline (``weighted``).
+
+    Each request is folded into the run's accumulators at its terminal
+    outcome (rejection, late arrival, completion, failure, exhaustion),
+    and :meth:`finalize` folds the ones still live at teardown.
+    ``metrics_mode`` picks the latency stats (exact in ``"records"``, P²
+    sketches in ``"streaming"``) and whether :attr:`records` keeps every
+    request's record (``"records"`` only).
     """
 
     def __init__(
@@ -360,11 +358,8 @@ class ServingFrontend:
             raise ValueError(
                 f"metrics_mode must be 'records' or 'streaming', "
                 f"got {metrics_mode!r}")
-        #: "records" retains every RequestRecord for post-run folds (the
-        #: byte-identical default); "streaming" folds each record into
-        #: constant-memory accumulators the moment it turns terminal and
-        #: then drops it, so memory tracks *live* requests, not history
-        self.metrics_mode = metrics_mode
+        #: streaming mode keeps no records and sketches the quantiles, so
+        #: memory tracks *live* requests, not history
         self.streaming = metrics_mode == "streaming"
         self.freeride = freeride
         self.sim = freeride.sim
@@ -404,21 +399,15 @@ class ServingFrontend:
         # A dedicated named stream, so enabling retries never perturbs
         # any other component's draws.
         self._retry_rng = freeride.rng.stream("serving:retry")
-        # Streaming mode keeps only the in-flight records (keyed by
-        # request id, so the close-time leftovers fold in the same order
-        # the records-mode list would) plus the accumulators; the
-        # records list the callers see stays empty by design.
-        if self.streaming:
-            self.records: list[RequestRecord] = []
-            self._live: "dict[int, RequestRecord] | None" = {}
-            self._acc: "ServingAccumulator | None" = (
-                ServingAccumulator(streaming=True))
-            self._tenant_accs: "dict[str, ServingAccumulator] | None" = {}
-        else:
-            self.records = []
-            self._live = None
-            self._acc = None
-            self._tenant_accs = None
+        #: every request's record in arrival order (records mode; empty
+        #: by design in streaming mode)
+        self.records: list[RequestRecord] = []
+        #: the records not folded yet, by request id in arrival order
+        self._live: dict[int, RequestRecord] = {}
+        #: the run's aggregate fold, fed at each terminal outcome
+        self.accumulator = ServingAccumulator(streaming=self.streaming)
+        #: one fold per tenant, registered at the tenant's first arrival
+        self._tenant_accs: dict[str, ServingAccumulator] = {}
         #: one profiling pass per distinct request shape, not per request
         self._profiles: dict[tuple, TaskProfile] = {}
         freeride.manager.terminal_listeners.append(self._on_terminal)
@@ -458,16 +447,22 @@ class ServingFrontend:
             raise ValueError(
                 f"the arrival stream has more than {ARRIVAL_KEYS} requests")
         self._arrival_seq = seq + 1
+        self.sim.call_at(request.arrival_s, self._on_arrival,
+                         self._register(request), seq)
+
+    def _register(self, request: TaskRequest) -> RequestRecord:
+        """The record of a request the stream yielded, live until its
+        terminal outcome folds it (and kept in :attr:`records` in
+        records mode)."""
         record = RequestRecord(
             request=request,
             deadline_s=slo_mod.slo_class(request.slo_class)
             .absolute_deadline(request.arrival_s),
         )
-        if self.streaming:
-            self._live[request.request_id] = record
-        else:
+        self._live[request.request_id] = record
+        if not self.streaming:
             self.records.append(record)
-        self.sim.call_at(request.arrival_s, self._on_arrival, record, seq)
+        return record
 
     # -- workload assembly ---------------------------------------------
     @staticmethod
@@ -522,34 +517,69 @@ class ServingFrontend:
                   "failure": failure},
         )
 
-    # -- streaming accounting -------------------------------------------
+    # -- accounting -----------------------------------------------------
     def _fold(self, record: RequestRecord) -> None:
-        """Streaming mode: account a terminal record, then drop it."""
-        if self._live.pop(record.request.request_id, None) is None:
-            return  # already folded
-        self._acc.add(record)
-        self._tenant_accs[record.request.tenant].add(record)
+        """Account a request at its terminal outcome: stamp it from its
+        runtime, retire its dispatch ledger entry, and feed the
+        aggregate and its tenant's accumulators."""
+        del self._live[record.request.request_id]
+        self._stamp(record)
         if record.spec is not None:
             self._by_spec.pop(id(record.spec), None)
-            record.spec = None
+        self.accumulator.add(record)
+        self._tenant_accs[record.request.tenant].add(record)
+
+    def _stamp(self, record: RequestRecord) -> None:
+        """Back-fill a record's outcome from its last attempt's runtime."""
+        if record.spec is None:
+            if record.failure is not None and record.outcome is None:
+                # Admitted, failed at least once, and its retry never
+                # found a worker before close: an explicit terminal
+                # failure, not a silently unserved request.
+                record.outcome = "failed"
+            return
+        runtime = self.freeride.runtime_for(record.spec)
+        workload = record.spec.workload
+        record.final_state = runtime.state.value
+        record.steps_done = workload.steps_done
+        record.units_done = workload.units_done
+        for worker in self.freeride.workers:
+            if runtime in worker.all_tasks:
+                record.stage = worker.stage
+                break
+        history = runtime.machine.history
+        record.first_progress_at = next(
+            (when for when, state in history
+             if state is SideTaskState.RUNNING), None,
+        )
+        if workload.is_finished and runtime.failure is None:
+            record.completed_at = next(
+                (when for when, state in reversed(history)
+                 if state is SideTaskState.STOPPED), None,
+            )
+            if record.outcome is None:
+                record.outcome = "completed"
+        elif record.outcome is None and runtime.failure is not None:
+            # The attempt died (worker crash, kill, OOM) and was
+            # never settled as a retry: an explicit failure, not a
+            # silently unserved request.
+            record.outcome = "failed"
+            record.failure = runtime.failure
 
     # -- lifecycle events ----------------------------------------------
     def _on_arrival(self, record: RequestRecord) -> None:
         self._schedule_next_arrival()
         now = self.sim.now
-        if self.streaming:
-            # Register the tenant at *arrival* so undeclared tenants
-            # keep the records-mode first-seen ordering in the fairness
-            # fold (arrival order is record order).
-            tenant = record.request.tenant
-            if tenant not in self._tenant_accs:
-                self._tenant_accs[tenant] = ServingAccumulator(streaming=True)
+        # Undeclared tenants are reported in first-arrival order.
+        tenant = record.request.tenant
+        if tenant not in self._tenant_accs:
+            self._tenant_accs[tenant] = ServingAccumulator(
+                streaming=self.streaming)
         if self.closed_at is not None:
             record.offered = False
             record.rejected_at = now
             record.reject_reason = "service closed"
-            if self.streaming:
-                self._fold(record)
+            self._fold(record)
             return
         # Structural bound first: a full queue rejects without consulting
         # the admission policy, so stateful policies (the token bucket)
@@ -561,8 +591,7 @@ class ServingFrontend:
                 f"{self.queue_capacity}; admission={self.admission.name})"
             )
             self._trace_reject(record)
-            if self.streaming:
-                self._fold(record)
+            self._fold(record)
             return
         admitted, reason = self.admission.admit(now, record.request,
                                                 len(self.queue))
@@ -570,8 +599,7 @@ class ServingFrontend:
             record.rejected_at = now
             record.reject_reason = reason
             self._trace_reject(record)
-            if self.streaming:
-                self._fold(record)
+            self._fold(record)
             return
         record.admitted_at = now
         self._profile_of(record)
@@ -622,8 +650,7 @@ class ServingFrontend:
                     args={"id": record.request.request_id,
                           "attempts": record.attempts},
                 )
-            if self.streaming:
-                self._fold(record)
+            self._fold(record)
             return
         if self.closed_at is not None:
             # Teardown stops are not failures; finalize() sorts them out.
@@ -653,8 +680,7 @@ class ServingFrontend:
             )
         else:
             record.outcome = "failed"
-        if self.streaming:
-            self._fold(record)
+        self._fold(record)
 
     def _requeue(self, record: RequestRecord) -> None:
         """Put a failed (admitted) request back in line for its retry.
@@ -800,9 +826,10 @@ class ServingFrontend:
         if self.closed_at is None:
             self.closed_at = self.sim.now
 
-    # -- post-run accounting -------------------------------------------
     def finalize(self) -> None:
-        """Back-fill per-request outcomes from the runtimes' histories."""
+        """Fold the requests still live at teardown (queued, in service
+        or waiting on a retry); every other request was folded at its
+        terminal outcome. Call after the drain."""
         if self.trace.enabled:
             # Attempts still live at teardown never settled; close their
             # service spans at the drain's end so the track is complete.
@@ -816,85 +843,18 @@ class ServingFrontend:
                           "failure": "open at teardown"},
                 )
             self._open_service.clear()
-        if self.streaming:
-            # Only in-flight records remain; settle-time folds already
-            # accounted for everything terminal. The dict preserves
-            # request-id order, so leftovers fold in the same order the
-            # records-mode list would visit them.
-            leftovers = list(self._live.values())
-            for record in leftovers:
-                self._finalize_record(record)
-            for record in leftovers:
-                self._fold(record)
-            return
-        for record in self.records:
-            self._finalize_record(record)
-
-    def _finalize_record(self, record: RequestRecord) -> None:
-        if record.spec is None:
-            if record.failure is not None and record.outcome is None:
-                # Admitted, failed at least once, and its retry never
-                # found a worker before close: an explicit terminal
-                # failure, not a silently unserved request.
-                record.outcome = "failed"
-            return
-        runtime = self.freeride.runtime_for(record.spec)
-        workload = record.spec.workload
-        record.final_state = runtime.state.value
-        record.steps_done = workload.steps_done
-        record.units_done = workload.units_done
-        for worker in self.freeride.workers:
-            if runtime in worker.all_tasks:
-                record.stage = worker.stage
-                break
-        history = runtime.machine.history
-        record.first_progress_at = next(
-            (when for when, state in history
-             if state is SideTaskState.RUNNING), None,
-        )
-        if workload.is_finished and runtime.failure is None:
-            record.completed_at = next(
-                (when for when, state in reversed(history)
-                 if state is SideTaskState.STOPPED), None,
-            )
-            if record.outcome is None:
-                record.outcome = "completed"
-        elif record.outcome is None and runtime.failure is not None:
-            # The attempt died (worker crash, kill, OOM) and was
-            # never settled as a retry: an explicit failure, not a
-            # silently unserved request.
-            record.outcome = "failed"
-            record.failure = runtime.failure
+        for record in list(self._live.values()):
+            self._fold(record)
 
     # -- metrics access -------------------------------------------------
     def metrics_for(self, duration_s: float) -> ServingMetrics:
-        """The run's aggregate metrics, from whichever mode is active.
-
-        Call after :meth:`finalize`; in streaming mode this reads the
-        accumulators (no records survive), in records mode it folds the
-        retained records exactly as before.
-        """
-        if self.streaming:
-            return self._acc.metrics(duration_s)
-        return serving_metrics(self.records, duration_s)
+        """The run's aggregate metrics; call after :meth:`finalize`."""
+        return self.accumulator.metrics(duration_s)
 
     def fairness_for(self, duration_s: float) -> FairnessMetrics:
-        """Per-tenant fairness accounting, from whichever mode is active."""
-        if self.streaming:
-            return fairness_from_accumulators(
-                self._tenant_accs, self.tenants, duration_s)
-        return fairness_metrics(self.records, self.tenants, duration_s)
-
-    @property
-    def outcome_counts(self) -> "RequestOutcomeCounts | None":
-        """Pre-folded retry/failure tallies (streaming mode only)."""
-        if not self.streaming:
-            return None
-        return RequestOutcomeCounts(
-            retries=self._acc.retries,
-            failed=self._acc.failed_requests,
-            exhausted=self._acc.exhausted_requests,
-        )
+        """Per-tenant fairness accounting; call after :meth:`finalize`."""
+        return fairness_from_accumulators(
+            self._tenant_accs, self.tenants, duration_s)
 
 
 # ----------------------------------------------------------------------

@@ -162,9 +162,6 @@ class _Condition(SimEvent):
     def _on_child(self, event: SimEvent) -> None:
         raise NotImplementedError
 
-    def _collect_values(self) -> list[object]:
-        return [event._value for event in self.events if event._state != PENDING]
-
 
 class AllOf(_Condition):
     """Triggers once every child event has been processed.

@@ -48,11 +48,6 @@ class Process(SimEvent):
         """True until the generator has finished or failed."""
         return self.pending
 
-    @property
-    def waiting_on(self) -> SimEvent | None:
-        """The event this process is currently blocked on, if any."""
-        return self._waiting_on
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
 

@@ -132,9 +132,6 @@ class PageRankTask(IterativeSideTask):
         self._trajectory.ensure(step)
         self.residuals.append(self._trajectory.residuals[step - 1])
 
-    def converged(self, tolerance: float = 1e-8) -> bool:
-        return bool(self.residuals) and self.residuals[-1] < tolerance
-
     @property
     def rank_vector(self) -> np.ndarray:
         if self._trajectory is None:

@@ -24,8 +24,7 @@ from repro.api.spec import PolicySpec, ScenarioSpec, TrainingSpec
 from repro.fuzz.generator import draw_spec
 from repro.serving import frontend as frontend_mod
 from repro.serving.arrivals import PoissonArrivals, TaskRequest
-from repro.serving.frontend import RequestRecord, ServingFrontend
-from repro.serving import slo as slo_mod
+from repro.serving.frontend import ServingFrontend
 from repro.tenancy.arrivals import TenantArrivals
 from tests.core.test_step_golden import FUZZ_GOLDEN, _fuzz_run
 from tests.serving.test_dispatch_round import _StubPool
@@ -42,16 +41,8 @@ class _WholeStreamFrontend(ServingFrontend):
     def _schedule_next_arrival(self) -> None:
         arrivals, self._arrivals = self._arrivals, iter(())
         for request in arrivals:
-            record = RequestRecord(
-                request=request,
-                deadline_s=slo_mod.slo_class(request.slo_class)
-                .absolute_deadline(request.arrival_s),
-            )
-            if self.streaming:
-                self._live[request.request_id] = record
-            else:
-                self.records.append(record)
-            self.sim.call_at(request.arrival_s, self._on_arrival, record)
+            self.sim.call_at(request.arrival_s, self._on_arrival,
+                             self._register(request))
 
 
 #: timers the probed frontends set right after construction

@@ -1,15 +1,18 @@
 """Streaming metrics mode: constant-memory accounting, pinned against
 the records-mode reference.
 
-The contract under test:
+Both modes fold each request into the same accumulators at its
+terminal outcome, in the same order; the mode picks only the latency
+stats class and whether the run keeps its records. The contract under
+test:
 
-* every lifecycle/outcome *count* matches records mode exactly (the
-  accumulators fold the same records the list-based fold would, just
-  one at a time);
-* latency means/extremes are exact; the tracked quantiles (p50/p95/p99)
-  come from P² sketches and sit within a 5% relative error bound of
-  the exact fold on the 10^4-sample reference run, except p99 on one
-  of twenty seeds (the pinned, documented failure);
+* every lifecycle/outcome *count* matches records mode exactly, in the
+  aggregate and per tenant;
+* latency counts, means and maxima are equal bit for bit; the tracked
+  quantiles (p50/p95/p99) come from P² sketches and sit within a 5%
+  relative error bound of the exact fold on the 10^4-sample reference
+  run, except p99 on one of twenty seeds (the pinned, documented
+  failure);
 * streaming runs are exactly as deterministic as records runs —
   serial vs process-pool sweeps are byte-identical;
 * ``ServingResult.records`` is empty by design in streaming mode.
@@ -22,7 +25,7 @@ import random
 
 import pytest
 
-from repro.api.session import Session
+from repro.api.session import PoolRunner, Session
 from repro.api.spec import (
     ArrivalSpec,
     FaultSpec,
@@ -62,18 +65,37 @@ def _counts(metrics) -> dict:
     return {field: getattr(metrics, field) for field in COUNT_FIELDS}
 
 
+def _exact_stats(metrics) -> dict:
+    """The latency figures both modes compute exactly."""
+    return {(name, figure): getattr(getattr(metrics, name), figure)
+            for name in ("queueing", "completion")
+            for figure in ("count", "mean", "max")}
+
+
 class TestStreamingParity:
     def test_counts_and_exact_stats_match_records_mode(self):
         records_result = _run(_spec("records"))
         streaming_result = _run(_spec("streaming"))
         assert _counts(records_result.metrics) == \
             _counts(streaming_result.metrics)
-        for name in ("queueing", "completion"):
-            exact = getattr(records_result.metrics, name)
-            sketch = getattr(streaming_result.metrics, name)
-            assert sketch.count == exact.count
-            assert sketch.mean == pytest.approx(exact.mean, rel=1e-12)
-            assert sketch.max == exact.max
+        assert _exact_stats(records_result.metrics) == \
+            _exact_stats(streaming_result.metrics)
+
+    def test_records_mode_folds_each_request_at_its_terminal_outcome(self):
+        """Mid-run, before ``finalize``, the accumulator has counted every
+        request that turned terminal, and only the others are live."""
+        runner = PoolRunner(_spec("records"))
+        runner.prepare()
+        runner.pool.run_training()
+        frontend = runner.frontend
+        records = frontend.records
+        live = [record for record in records
+                if record.status in ("pending", "queued", "assigned")]
+        assert list(map(id, frontend._live.values())) == list(map(id, live))
+        accumulator = frontend.accumulator
+        for status in ("rejected", "completed"):
+            assert getattr(accumulator, status) == sum(
+                record.status == status for record in records) > 0
 
     def test_streaming_drops_records(self):
         result = _run(_spec("streaming"))
@@ -105,10 +127,12 @@ class TestStreamingParity:
         assert [u.name for u in got.tenants] == [u.name for u in ref.tenants]
         for ref_usage, got_usage in zip(ref.tenants, got.tenants):
             assert _counts(got_usage.metrics) == _counts(ref_usage.metrics)
-            assert got_usage.share == pytest.approx(ref_usage.share)
+            assert _exact_stats(got_usage.metrics) == \
+                _exact_stats(ref_usage.metrics)
+            assert got_usage.share == ref_usage.share
             assert got_usage.target_share == ref_usage.target_share
-        assert got.jain_goodput == pytest.approx(ref.jain_goodput)
-        assert got.max_share_error == pytest.approx(ref.max_share_error)
+        assert got.jain_goodput == ref.jain_goodput
+        assert got.max_share_error == ref.max_share_error
 
     def test_resilience_parity_under_faults_and_retries(self):
         faults = FaultSpec(crash_rate=1.0, step_failure_rate=0.05,

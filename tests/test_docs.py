@@ -112,6 +112,13 @@ def test_name_check_flags_a_private_name_nothing_defines(tmp_path,
     assert "['_on_tock']" in errors[0]
 
 
+def test_skipping_the_examples_says_so(capsys):
+    assert _check_docs_script().main(["--skip-examples"]) == 0
+    printed = capsys.readouterr().out
+    assert "examples skipped" in printed
+    assert "every example runs" not in printed
+
+
 def test_architecture_doc_covers_every_subsystem():
     text = (REPO / "ARCHITECTURE.md").read_text()
     packages = sorted(
