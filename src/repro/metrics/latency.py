@@ -341,7 +341,8 @@ class ServingAccumulator:
         # The resilience tallies count retry attempts and failure
         # outcomes over *all* records, offered or not, so they come
         # before the open-load gate below.
-        self.retries += max(0, record.attempts - 1)
+        if record.attempts > 1:
+            self.retries += record.attempts - 1
         if record.outcome == "failed":
             self.failed_requests += 1
         elif record.outcome == "exhausted":

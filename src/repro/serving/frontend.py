@@ -523,21 +523,19 @@ class ServingFrontend:
         runtime, retire its dispatch ledger entry, and feed the
         aggregate and its tenant's accumulators."""
         del self._live[record.request.request_id]
-        self._stamp(record)
         if record.spec is not None:
+            self._stamp(record)
             self._by_spec.pop(id(record.spec), None)
+        elif record.failure is not None and record.outcome is None:
+            # Admitted, failed at least once, and its retry never found
+            # a worker before close: an explicit terminal failure, not a
+            # silently unserved request.
+            record.outcome = "failed"
         self.accumulator.add(record)
         self._tenant_accs[record.request.tenant].add(record)
 
     def _stamp(self, record: RequestRecord) -> None:
         """Back-fill a record's outcome from its last attempt's runtime."""
-        if record.spec is None:
-            if record.failure is not None and record.outcome is None:
-                # Admitted, failed at least once, and its retry never
-                # found a worker before close: an explicit terminal
-                # failure, not a silently unserved request.
-                record.outcome = "failed"
-            return
         runtime = self.freeride.runtime_for(record.spec)
         workload = record.spec.workload
         record.final_state = runtime.state.value
