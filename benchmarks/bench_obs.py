@@ -12,22 +12,24 @@ Each run is timed in CPU seconds of this process
 (``time.process_time``), after a garbage collection, as perfbench
 times its runs: the simulation is single-threaded, and unlike wall
 time, CPU time leaves out the time other processes on a shared host
-hold the CPU.
+hold the CPU. Each mode counts its fastest round, as perfbench keeps
+each scenario's fastest pass: what other processes do to the caches
+and the clock speed only ever slows a round down, so the fastest of
+several interleaved rounds is the one least disturbed.
 """
 
 from __future__ import annotations
 
 import gc
-import statistics
 import time
 
 from repro.api.session import Session
 from repro.experiments import common, serve
 
-#: repeats per mode; medians damp scheduler noise
+#: interleaved rounds per mode; each mode counts its fastest
 ROUNDS = 5
-#: enabled-path budget from the issue (<=15%), with headroom for CI
-#: machine variance — the median ratio on a quiet machine is ~1.00-1.05
+#: enabled-path budget (<=15% was the design target), with headroom
+#: for CI machine variance — the ratio on a quiet machine is ~1.00-1.05
 ENABLED_BUDGET = 1.30
 
 
@@ -62,19 +64,19 @@ def test_obs_overhead(record_output):
     # both modes measure pure simulation.
     _run(off_spec)
 
-    # Interleave the modes so clock drift and CI noisy neighbors hit
-    # both medians equally.
+    # Interleave the modes so clock drift and CI noisy neighbors reach
+    # both modes' rounds alike.
     offs, ons = [], []
     for _ in range(ROUNDS):
         offs.append(_run(off_spec))
         ons.append(_run(on_spec))
-    off_s, on_s = statistics.median(offs), statistics.median(ons)
+    off_s, on_s = min(offs), min(ons)
     ratio = on_s / off_s if off_s > 0 else 1.0
 
     spans = Session(on_spec).run().runner.trace_result.span_count
     record_output(
         "obs_overhead",
-        "observability overhead (one serve point, median of "
+        "observability overhead (one serve point, fastest of "
         f"{ROUNDS} rounds)\n"
         f"  tracing off: {off_s * 1000:7.1f} ms\n"
         f"  tracing on:  {on_s * 1000:7.1f} ms  ({spans} events)\n"

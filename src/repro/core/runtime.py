@@ -474,8 +474,13 @@ class _StepDriver:
     seconds of :func:`step_split`, the task's normal source, its
     kernel's SM demand and name and the bound launch; each draw is
     ``ctx.jitter``'s, ``exp(0.0 + z * JITTER_SIGMA) * mean``, and a zero
-    kernel mean draws nothing. A phase the task's class overrides
-    (``host_phase``, ``launch_step``, ``after_step``) is called instead.
+    kernel mean draws nothing. The first stock step launches the
+    driver's kernel and every later one relaunches it
+    (:meth:`~repro.gpu.kernel.Kernel.relaunch`) with its own draw: the
+    driver is the kernel's only waiter, and a step launches only after
+    the last one's :meth:`_on_done` has run. A phase the task's class
+    overrides (``host_phase``, ``launch_step``, ``after_step``) is
+    called instead.
 
     A zero overhead, host or failed-step time skips that timer: the next
     phase runs at once. Meanwhile the process waits on ``wait``, an
@@ -491,8 +496,9 @@ class _StepDriver:
     __slots__ = ("runtime", "engine", "machine", "commands", "workload",
                  "ctx", "checkpoint", "reach", "overhead", "injector",
                  "fail_s", "host_s", "kernel_s", "sm_demand", "kernel_name",
-                 "normal", "compute_step", "launch_kernel", "host_phase",
-                 "launch_step", "after_step", "bubble_end", "wait",
+                 "normal", "compute_step", "launch_kernel", "kernel",
+                 "host_phase", "launch_step", "after_step", "bubble_end",
+                 "wait",
                  "step_start", "on_overhead", "on_host", "on_done",
                  "on_fault")
 
@@ -529,6 +535,8 @@ class _StepDriver:
         self.normal = ctx.normal_source()
         self.compute_step = workload.compute_step
         self.launch_kernel = ctx.proc.launch_kernel
+        #: the stock step's kernel, launched by the first step
+        self.kernel = None
         self.bubble_end: float | None = None
         self.wait: SimEvent | None = None
         self.step_start = 0.0
@@ -593,10 +601,14 @@ class _StepDriver:
         else:
             self.compute_step()
             kernel_s = self.kernel_s
-            kernel = self.launch_kernel(
-                0.0 if kernel_s <= 0 else
-                math.exp(0.0 + self.normal() * JITTER_SIGMA) * kernel_s,
-                self.sm_demand, self.kernel_name)
+            work_s = (0.0 if kernel_s <= 0 else
+                      math.exp(0.0 + self.normal() * JITTER_SIGMA) * kernel_s)
+            kernel = self.kernel
+            if kernel is None:
+                kernel = self.kernel = self.launch_kernel(
+                    work_s, self.sm_demand, self.kernel_name)
+            else:
+                kernel.relaunch(work_s)
         kernel.callbacks.append(self.on_done)
 
     def _on_overhead(self, _arg: None) -> None:

@@ -8,8 +8,11 @@ changes, remaining work is settled at the old rates and completions are
 rescheduled at the new rates — the standard processor-sharing construction
 for discrete-event simulators. A kernel is its own completion event and
 carries its run state (remaining work, rate, last settle instant, timer
-version). A kernel that lands on an idle device skips that pass: alone,
-it has nothing to settle and a slowdown of exactly 1, so
+version); every launch sets that state, and a completed kernel may be
+launched again (:meth:`~repro.gpu.kernel.Kernel.relaunch`), its timer
+version counting on from its last run. A kernel that lands on an idle
+device skips that pass: alone, it has nothing to settle and a slowdown
+of exactly 1, so
 :meth:`SimGPU.launch` schedules its completion directly with the same
 arithmetic on the same values. A completion timer is a bare heap entry
 (:meth:`~repro.sim.engine.Engine.call_later`) carrying its kernel and
@@ -34,6 +37,7 @@ import typing
 from repro.errors import GpuOutOfMemoryError, ProcessKilledError, SimulationError
 from repro.gpu.kernel import Kernel, Priority
 from repro.gpu.sharing import SharingMode
+from repro.sim.events import PENDING, PROCESSED
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.process import GPUProcess
@@ -131,9 +135,25 @@ class SimGPU:
     # kernel execution
     # ------------------------------------------------------------------
     def launch(self, kernel: Kernel) -> Kernel:
-        """Start executing ``kernel``; returns it, as its completion event."""
-        if kernel.version >= 0:
-            raise SimulationError(f"kernel {kernel.name} launched twice")
+        """Start executing ``kernel``; returns it, as its completion event.
+
+        ``kernel`` is fresh, or completed and processed
+        (:meth:`Kernel.relaunch`); a running, triggered or failed kernel
+        is refused. Each launch sets the whole run state and continues
+        the kernel's timer version, so no completion timer of an
+        earlier run matches a later one.
+        """
+        if kernel._state == PENDING:
+            if kernel.version >= 0:
+                raise SimulationError(
+                    f"kernel {kernel.name} launched while running")
+        elif kernel._exception is not None:
+            raise SimulationError(
+                f"kernel {kernel.name} failed; it is not launched again")
+        elif kernel._state != PROCESSED:
+            raise SimulationError(
+                f"kernel {kernel.name} launched before its completion "
+                "was processed")
         runs = self._runs
         if runs and self.sharing is SharingMode.EXCLUSIVE:
             owners = {other.proc.pid for other in runs.values()}
@@ -143,9 +163,11 @@ class SimGPU:
                     f"{kernel.proc.name} cannot co-run kernels"
                 )
         now = self.engine.now
+        kernel._state = PENDING
         kernel.remaining = kernel.work_s / self.speed_factor
+        kernel.rate = 1.0
         kernel.last_update = now
-        kernel.version = 0
+        kernel.version = version = kernel.version + 1
         alone = not runs
         runs[kernel.kid] = kernel
         if kernel.work_s == 0:
@@ -154,16 +176,16 @@ class SimGPU:
             # _recompute with this one kernel: settling subtracts
             # (now - now) * 1.0, the occupancy sums add to 0.0, and the
             # slowdown is 1.0, so the completion lands remaining / 1.0
-            # from now under version 1.
+            # from now under the next version.
             if not self.record_occupancy:
                 self._busy_since = now  # what _record_point would do
             elif kernel.priority >= Priority.TRAINING:
                 self._record_point(now, kernel.sm_demand, 0.0)
             else:
                 self._record_point(now, 0.0, kernel.sm_demand)
-            kernel.version = 1
+            kernel.version = version = version + 1
             self.engine.call_later(kernel.remaining, self._timer_callback,
-                                   (kernel, 1))
+                                   (kernel, version))
         else:
             self._recompute()
         return kernel

@@ -8,7 +8,11 @@ It is also its own completion event: :meth:`repro.gpu.device.SimGPU.launch`
 returns it, and yielding it resumes with the kernel once it finishes.
 While it runs it carries the device's run state for it (remaining work,
 rate, the instant that work was settled, and the version of its
-completion timer).
+completion timer). Its owner may launch a completed kernel again, with
+new work (:meth:`Kernel.relaunch`), once every waiter of its last run
+has been called: the device resets the run state at each launch, and
+the timer version keeps counting across runs, so a completion timer
+superseded during an earlier run never completes a later one.
 
 The interference coefficients for the evaluation's side tasks are fitted to
 the paper's Table 2 (see :mod:`repro.calibration`); the device applies them
@@ -22,6 +26,7 @@ import enum
 import itertools
 import typing
 
+from repro.errors import SimulationError
 from repro.gpu.sharing import SharingMode
 from repro.sim.events import PENDING, SimEvent
 
@@ -113,13 +118,32 @@ class Kernel(SimEvent):
         self.sm_demand = sm_demand
         self.priority = priority
         self.interference = interference
-        # The run state, which the device sets at launch: seconds of
-        # work left at ``last_update``, the rate since then, and the
-        # version of the completion timer (-1 until launched).
-        self.remaining = 0.0
-        self.rate = 1.0
-        self.last_update = 0.0
+        # The run state, which the device sets at each launch: seconds
+        # of work left at ``last_update`` (``remaining``), the ``rate``
+        # since then, and the version of the completion timer, which
+        # counts on across runs (-1 until the first launch).
         self.version = -1
+
+    def relaunch(self, work_s: float) -> "Kernel":
+        """Launch this completed kernel again with ``work_s`` seconds of
+        work; returns it, as its completion event.
+
+        The checks of a fresh launch apply (non-negative work, a live
+        process), and :meth:`repro.gpu.device.SimGPU.launch` refuses a
+        kernel that is running, triggered but not yet processed, or
+        failed. A refused relaunch leaves the kernel as it was.
+        """
+        if not work_s >= 0:  # also rejects NaN, which compares false
+            raise ValueError(f"kernel work must be >= 0, got {work_s}")
+        proc = self.proc
+        if not proc.alive:
+            proc._check_alive()
+        last_work_s, self.work_s = self.work_s, work_s
+        try:
+            return proc.device.launch(self)
+        except SimulationError:
+            self.work_s = last_work_s
+            raise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -657,6 +657,9 @@ class ServingFrontend:
         record.failure = failure
         retry = self.retry
         if retry is not None and record.attempts < retry.max_attempts:
+            # The dead attempt is settled: its ledger entry goes now,
+            # and the retry's dispatch adds one for its own spec.
+            del self._by_spec[id(record.spec)]
             delay = retry.delay_s(record.attempts, self._retry_rng)
             self._m_retries.add()
             if self.trace.enabled:

@@ -39,7 +39,6 @@ from repro.faults.plan import FaultPlan, SlowdownWindow
 from repro.fuzz.digest import digest_result
 from repro.gpu.cluster import make_server_i
 from repro.gpu.device import SimGPU
-from repro.gpu.process import GPUProcess
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.workloads.adapters import FiniteJob
@@ -434,15 +433,18 @@ def test_the_resolved_step_draws_what_the_phases_draw(monkeypatch):
     """The driver draws a stock step's host and kernel seconds itself,
     from the split and normal source it resolves once per START. They
     are the seconds ``host_phase`` and ``launch_step`` draw, in the same
-    order, on a fresh copy of the task's stream."""
+    order, on a fresh copy of the task's stream. The driver launches
+    its kernel once per START and relaunches it for every later step,
+    so the spy sits on the device's launch, which both take."""
     launches = []
-    launch = GPUProcess.launch_kernel
+    launch = SimGPU.launch
 
-    def spy(proc, work_s, sm_demand, name):
-        launches.append((proc.engine.now, work_s))
-        return launch(proc, work_s, sm_demand, name)
+    def spy(gpu, kernel):
+        if kernel.proc.name.endswith(":probe"):  # the task's process
+            launches.append((gpu.engine.now, kernel.work_s))
+        return launch(gpu, kernel)
 
-    monkeypatch.setattr(GPUProcess, "launch_kernel", spy)
+    monkeypatch.setattr(SimGPU, "launch", spy)
     outcome = _run(Probe(), [(START_AT, _start(START_AT + 0.3)),
                              (START_AT + 0.31, _pause)])
     marks = [when for when, state in outcome["history"]

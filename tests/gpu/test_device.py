@@ -383,14 +383,117 @@ def test_launch_returns_the_kernel_as_its_completion_event(
     assert engine.now == finish and kernel not in gpu.active_kernels()
 
 
-def test_a_kernel_is_launched_once(engine: Engine, gpu: SimGPU):
+# ----------------------------------------------------------------------
+# A completed kernel may be launched again (Kernel.relaunch).
+# ----------------------------------------------------------------------
+def _slowing(engine, gpu, name="slower"):
+    """A process whose kernels halve the speed of a default process's."""
+    return _proc(engine, gpu, name,
+                 interference=Interference(mps_on_lower=1.0))
+
+
+def test_a_superseded_timer_of_an_earlier_run_does_nothing(engine: Engine,
+                                                           gpu: SimGPU):
+    """Launched beside another process's kernel, a kernel's first timer
+    is due at 2.0; that kernel leaves at 0.5, so it finishes at 1.25 and
+    the timer due at 2.0 stays in the heap, superseded. Relaunched alone
+    at 1.25, the kernel completes 1.0 later, not at the stale 2.0."""
     proc = _proc(engine, gpu)
+    _slowing(engine, gpu).launch_kernel(work_s=0.5)
     kernel = proc.launch_kernel(work_s=1.0)
-    with pytest.raises(SimulationError, match="launched twice"):
-        gpu.launch(kernel)
+    done_at = []
+    stale = []
+
+    def owner():
+        yield kernel
+        done_at.append(engine.now)
+        assert kernel.relaunch(1.0) is kernel
+        stale.extend(when for when, _seq, _callback, arg in engine._heap
+                     if isinstance(arg, tuple) and arg[0] is kernel)
+        assert (yield kernel) is kernel
+        done_at.append(engine.now)
+
+    engine.process(owner())
     engine.run()
-    with pytest.raises(SimulationError, match="launched twice"):
-        gpu.launch(kernel)
+    assert done_at == [1.25, 2.25]
+    assert 2.0 in stale  # the superseded timer outlived the first run
+    assert kernel.value is kernel and gpu.active_kernels() == []
+    assert gpu.busy_time == 2.25
+
+
+def _joined_timeline(relaunch: bool) -> tuple[float, float]:
+    """A kernel of 1.0 s launched alone at 1.0, joined at 1.5 by another
+    process's kernel; with ``relaunch``, the kernel's first run ended at
+    rate 0.5. Returns its remaining work just after the join and its
+    completion instant."""
+    engine = Engine()
+    gpu = SimGPU(engine, "g", memory_gb=48.0)
+    proc = _proc(engine, gpu)
+    first = None
+    if relaunch:
+        _slowing(engine, gpu).launch_kernel(work_s=0.6)
+        first = proc.launch_kernel(work_s=0.25)  # rate 0.5 until 0.5
+    seen = {}
+
+    def owner():
+        yield engine.timeout(1.0)
+        if relaunch:
+            assert first.processed and first.rate == 0.5
+            kernel = first.relaunch(1.0)
+        else:
+            kernel = proc.launch_kernel(1.0)
+        yield engine.timeout(0.5)
+        _proc(engine, gpu, "joiner").launch_kernel(work_s=5.0)
+        seen["remaining"] = kernel.remaining
+        assert kernel.rate == 1.0
+        yield kernel
+        seen["done"] = engine.now
+
+    engine.process(owner())
+    engine.run()
+    return seen["remaining"], seen["done"]
+
+
+def test_a_relaunch_after_a_slowed_run_starts_at_full_rate():
+    assert _joined_timeline(relaunch=True) == _joined_timeline(
+        relaunch=False) == (0.5, 2.0)
+
+
+def test_a_kernel_is_launched_again_only_once_completed(engine: Engine,
+                                                        gpu: SimGPU):
+    """Running, triggered or failed kernels, and a dead process's, are
+    refused, and the refused kernel keeps its work."""
+    proc = _proc(engine, gpu)
+    running = proc.launch_kernel(work_s=1.0)
+    with pytest.raises(SimulationError, match="while running"):
+        running.relaunch(2.0)
+    with pytest.raises(SimulationError, match="while running"):
+        gpu.launch(running)
+    assert running.work_s == 1.0 and running.pending
+    triggered = proc.launch_kernel(work_s=0.0)  # completes at once
+    assert triggered.triggered and not triggered.processed
+    with pytest.raises(SimulationError, match="was processed"):
+        triggered.relaunch(1.0)
+    with pytest.raises(ValueError, match="kernel work must be >= 0"):
+        running.relaunch(-1.0)
+    engine.run()
+    assert running.relaunch(0.5) is running  # completed: launched again
+    engine.run()
+    assert engine.now == 1.5
+
+    failed = proc.launch_kernel(work_s=1.0)
+    gpu.cancel_kernels_of(proc)
+    for _ in range(2):  # triggered with its error, then processed
+        with pytest.raises(SimulationError, match="failed"):
+            failed.relaunch(1.0)
+        engine.run()
+    assert failed.processed and failed.work_s == 1.0
+
+    done = proc.launch_kernel(work_s=0.25)
+    engine.run()
+    proc.kill()
+    with pytest.raises(ProcessKilledError):
+        done.relaunch(0.25)
     assert gpu.active_kernels() == []
 
 

@@ -36,6 +36,7 @@ from repro.api.spec import (
 )
 from repro.experiments import common
 from repro.metrics.latency import LatencyStats, StreamingLatencyStats
+from repro.serving.frontend import ServingFrontend
 
 RATE = 120.0
 
@@ -143,6 +144,30 @@ class TestStreamingParity:
         got = streaming_result.resilience.summary()
         assert got == ref
         assert ref["retries"] > 0 or ref["failed_requests"] > 0
+
+    def test_the_dispatch_ledger_holds_only_live_attempts(self,
+                                                          monkeypatch):
+        """An attempt settled for a retry leaves the dispatch ledger
+        then, so around every dispatch round the ledger holds no more
+        entries than there are live requests, and the run ends with it
+        empty."""
+        faults = FaultSpec(crash_rate=1.0, step_failure_rate=0.05,
+                           retry_max_attempts=3)
+        sizes = []
+        dispatch = ServingFrontend._dispatch
+
+        def spy(frontend):
+            sizes.append((len(frontend._by_spec), len(frontend._live)))
+            dispatch(frontend)
+            sizes.append((len(frontend._by_spec), len(frontend._live)))
+
+        monkeypatch.setattr(ServingFrontend, "_dispatch", spy)
+        with Session(_spec("streaming", faults=faults)) as session:
+            result = session.run().results()
+            frontend = session.runner.frontend
+        assert result.resilience.summary()["retries"] > 0
+        assert sizes and all(held <= live for held, live in sizes)
+        assert frontend._by_spec == {} and frontend._live == {}
 
 
 def _reference_run(seed: int):
