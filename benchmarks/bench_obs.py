@@ -29,7 +29,8 @@ from repro.experiments import common, serve
 #: interleaved rounds per mode; each mode counts its fastest
 ROUNDS = 5
 #: enabled-path budget (<=15% was the design target), with headroom
-#: for CI machine variance — the ratio on a quiet machine is ~1.00-1.05
+#: for CI machine variance — the fastest-round ratio read 1.05-1.14 in
+#: six runs on a shared 2-CPU x86 host
 ENABLED_BUDGET = 1.30
 
 
