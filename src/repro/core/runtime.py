@@ -40,7 +40,7 @@ from repro.core.interfaces import (
 from repro.core.rpc import RpcChannel
 from repro.core.states import SideTaskState, StateMachine, Transition
 from repro.core.task_spec import TaskSpec
-from repro.errors import GpuOutOfMemoryError, ProcessKilledError
+from repro.errors import GpuOutOfMemoryError, ProcessKilledError, SideTaskError
 from repro.sim.events import Interrupt, SimEvent
 from repro.sim.rng import RandomStreams
 from repro.sim.signals import Signal
@@ -133,22 +133,15 @@ class SideTaskRuntime:
             self.machine.observer = self._trace_transition
 
     def _trace_transition(self, now: float, state: SideTaskState) -> None:
-        """Span-tracer seam: one instant per transition, plus a complete
-        span covering each contiguous RUNNING interval."""
+        """Span-tracer seam: one instant per state change, plus a complete
+        span covering each RUNNING interval, closed by the change that
+        leaves RUNNING."""
         trace = self.sim.trace
         track = ("tasks", self.spec.name)
-        if state is SideTaskState.RUNNING:
-            # Entering RUNNING (START/RESUME) opens the interval; the
-            # RUN_NEXT_STEP self-loop keeps landing here and is elided.
-            if self._trace_running_since is None:
-                self._trace_running_since = now
-                trace.instant(state.value, now, cat="task.state",
-                              track=track)
-            return
         if self._trace_running_since is not None:
             trace.complete("RUNNING", self._trace_running_since, now,
                            cat="task.state", track=track)
-            self._trace_running_since = None
+        self._trace_running_since = now if state is _RUNNING else None
         trace.instant(state.value, now, cat="task.state", track=track)
 
     # ------------------------------------------------------------------
@@ -206,8 +199,7 @@ class SideTaskRuntime:
         snapshot_steps = (self._snapshot or {}).get("steps_done", 0)
         lost = max(0, self.workload.steps_done - snapshot_steps)
         self.wasted_steps += lost
-        step_time = self.spec.profile.step_time_s or 0.0
-        self.wasted_s += lost * step_time
+        self.wasted_s += lost * (self.spec.profile.step_time_s or 0.0)
         self.preemptions += 1
         telemetry = self.sim.telemetry
         telemetry.counter("tasks.preemptions").add()
@@ -348,6 +340,9 @@ class IterativeRuntime(SideTaskRuntime):
             raise TypeError(
                 f"{self.workload.name} is not an IterativeSideTask"
             )
+        if self.spec.profile.step_time_s is None:
+            # both the program-directed limit and a failed step need it
+            raise SideTaskError(f"{self.spec.name} has no profiled step time")
 
     def _main_loop(self):
         while True:
@@ -436,15 +431,14 @@ class IterativeRuntime(SideTaskRuntime):
             self.machine.apply(Transition.RESUME, self.sim.now)
 
 
-def _step_fits(now: float, reach: float | None,
-               bubble_end: float | None) -> bool:
+def _step_fits(now: float, reach: float, bubble_end: float | None) -> bool:
     """The program-directed limit: may a step start at ``now``?
 
     ``reach`` is the profiled step time times the safety margin; a step
-    fits when ``now + reach`` does not pass the bubble's end, or either
+    fits when ``now + reach`` does not pass the bubble's end, or the end
     is unknown. Written as ``<=`` so a NaN bubble end never fits.
     """
-    return bubble_end is None or reach is None or now + reach <= bubble_end
+    return bubble_end is None or now + reach <= bubble_end
 
 
 class _StepDriver:
@@ -457,8 +451,8 @@ class _StepDriver:
     that entry:
 
     * :meth:`_on_overhead`, the overhead timer: ``overhead_s``, then
-      :meth:`_step`: the injector's failure check, ``RunNextStep``, the
-      step's start, the host phase and the host timer;
+      :meth:`_step`: the injector's failure check, the step's start
+      (``RunNextStep``), the host phase and the host timer;
     * :meth:`_on_host`, the host timer: :meth:`_launch`, the step's
       launch;
     * :meth:`_on_done`, the kernel's completion: the step's accounting,
@@ -482,10 +476,18 @@ class _StepDriver:
     overrides (``host_phase``, ``launch_step``, ``after_step``) is
     called instead.
 
-    A zero overhead, host or failed-step time skips that timer: the next
-    phase runs at once. Meanwhile the process waits on ``wait``, an
-    event that is never scheduled. When a check fails, or a phase
-    raises, the driver resumes it in place (no event, no seq, no
+    ``RunNextStep`` changes no state and leaves no ``history`` entry, so
+    a step calls ``StateMachine.apply`` only when the machine is not
+    RUNNING, where it raises :class:`~repro.errors.IllegalTransitionError`.
+    The stock ``is_finished`` is always False, so the finished check
+    reads the property only when the task's class overrides it, which
+    is resolved once per START like the phases.
+
+    A zero overhead or host time skips that timer: the next phase runs
+    at once. A failed step always loses the profiled step time, which
+    :class:`IterativeRuntime` requires. Meanwhile the process waits on
+    ``wait``, an event that is never scheduled. When a check fails, or
+    a phase raises, the driver resumes it in place (no event, no seq, no
     count), so :meth:`IterativeRuntime._running_loop` takes over at the
     same instant. A kill takes the process's callback off ``wait``;
     every later callback of the driver then does nothing, as a waiting
@@ -497,8 +499,8 @@ class _StepDriver:
                  "ctx", "checkpoint", "reach", "overhead", "injector",
                  "fail_s", "host_s", "kernel_s", "sm_demand", "kernel_name",
                  "normal", "compute_step", "launch_kernel", "kernel",
-                 "host_phase", "launch_step", "after_step", "bubble_end",
-                 "wait",
+                 "host_phase", "launch_step", "after_step", "finite",
+                 "bubble_end", "wait",
                  "step_start", "on_overhead", "on_host", "on_done",
                  "on_fault")
 
@@ -511,20 +513,20 @@ class _StepDriver:
         self.ctx = ctx = runtime.ctx
         spec = runtime.spec
         self.checkpoint = spec.checkpoint
-        step_time = spec.profile.step_time_s
+        # a failed step loses the profiled step time
+        self.fail_s = step_time = spec.profile.step_time_s
         # now + step_time * margin, with the product rounded once here
-        self.reach = (None if step_time is None else
-                      step_time * (1.0 + calibration.STEP_FIT_SAFETY_MARGIN))
+        self.reach = step_time * (1.0 + calibration.STEP_FIT_SAFETY_MARGIN)
         self.overhead = calibration.ITERATIVE_STEP_OVERHEAD_S
         self.injector = runtime.injector
-        # a failed step loses the profiled step time
-        self.fail_s = step_time or 0.0
         # a phase the task's class overrides is called instead
         cls = type(workload)
         self.host_phase, self.launch_step, self.after_step = (
             None if getattr(cls, phase) is getattr(SideTaskBase, phase)
             else getattr(workload, phase)
             for phase in ("host_phase", "launch_step", "after_step"))
+        # only a class that overrides is_finished can finish
+        self.finite = cls.is_finished is not SideTaskBase.is_finished
         # the stock step, resolved once per START; an overridden host
         # phase replaces the stock host seconds
         perf = workload.perf
@@ -572,16 +574,10 @@ class _StepDriver:
         if self.injector is not None and self.injector.step_fails(
                 self.runtime.spec.name):
             # The step runs but its result is lost; it runs again.
-            if self.fail_s > 0:
-                self.engine.call_later(self.fail_s, self.on_fault)
-            elif self.wait.callbacks:
-                self._on_fault(None)
-            else:
-                # inside start(), whose loop checks passed at this instant
-                self.runtime.step_failures += 1
-                self._step()
+            self.engine.call_later(self.fail_s, self.on_fault)
             return
-        self.machine.apply(_RUN_NEXT_STEP, now)
+        if self.machine.state is not _RUNNING:
+            self.machine.apply(_RUN_NEXT_STEP, now)  # raises
         host_s = self.host_s
         if host_s > 0:
             self.engine.call_later(
@@ -651,7 +647,7 @@ class _StepDriver:
                     return
             runtime = self.runtime
             runtime.running_s += now - self.step_start
-            if not (workload.is_finished
+            if not ((self.finite and workload.is_finished)
                     or (self.checkpoint is not None
                         and runtime._should_checkpoint())
                     or self.machine.state is not _RUNNING

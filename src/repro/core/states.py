@@ -11,7 +11,9 @@ to termination", each corresponding to a different hardware footprint:
 * ``STOPPED`` — all resources released, process terminated.
 
 Six transitions connect them; ``RunNextStep`` is the RUNNING self-loop the
-iterative interface executes once per step.
+iterative interface executes once per step. It is checked like any
+other transition but, leaving the state unchanged, is not logged: a
+machine's ``history`` lists its state changes.
 
 The fault-tolerance layer (:mod:`repro.faults`) adds three recovery
 states on top of the paper's machine:
@@ -120,25 +122,35 @@ class StateMachine:
     """Tracks one side task's state with legality checking and history."""
 
     state: SideTaskState = SideTaskState.SUBMITTED
+    #: ``(now, new_state)`` per state change, in order; the
+    #: ``RunNextStep`` self-loop changes no state and adds no entry
     history: list[tuple[float, SideTaskState]] = dataclasses.field(
         default_factory=list
     )
     #: owning task's name, embedded in IllegalTransitionError messages
     task_id: str = ""
     #: observability seam: called as ``observer(now, new_state)`` after
-    #: each applied transition; None (the default) costs one comparison
-    #: per transition — the runtime installs one only when tracing is on
+    #: each state change, as ``history`` records it; None (the default)
+    #: costs one comparison per change — the runtime installs one only
+    #: when tracing is on
     observer: "typing.Callable[[float, SideTaskState], None] | None" = (
         dataclasses.field(default=None, repr=False, compare=False)
     )
 
     def apply(self, transition: Transition, now: float = 0.0) -> SideTaskState:
-        """Apply ``transition``; raises :class:`IllegalTransitionError`."""
+        """Apply ``transition``; raises :class:`IllegalTransitionError`.
+
+        A legal transition that leaves the state unchanged (the
+        ``RunNextStep`` self-loop) returns at once: no ``history`` entry
+        and no observer call.
+        """
         state = TRANSITION_TABLE.get((self.state, transition))
         if state is None:
             raise IllegalTransitionError(
                 self.state.value, transition.value, task_id=self.task_id
             )
+        if state is self.state:
+            return state
         self.state = state
         self.history.append((now, state))
         if self.observer is not None:

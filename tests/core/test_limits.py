@@ -76,11 +76,12 @@ class TestProgramDirectedLimit:
     (1.0, 0.25, 1.2, False),
     (1.0, 0.25, float("nan"), False),  # a NaN bubble end never fits
     (1.0, 0.25, None, True),  # no bubble end announced
-    (1.0, None, 1.1, True),  # no profiled step time
 ])
 def test_step_fit_check(now, reach, bubble_end, fits):
-    """The program-directed limit both step loops share: a step may start
-    when ``now + reach`` does not pass the bubble's end."""
+    """The program-directed limit the running loop and the step driver
+    share: a step may start when ``now + reach`` does not pass the
+    bubble's end. An iterative task always has a profiled step time
+    (``IterativeRuntime`` refuses one without)."""
     assert _step_fits(now, reach, bubble_end) is fits
 
 

@@ -220,14 +220,29 @@ def test_property_machine_never_enters_undefined_state(transitions):
         assert machine.state in SideTaskState
 
 
-@given(st.lists(st.sampled_from(list(Transition)), max_size=30))
-def test_property_history_is_consistent(transitions):
+@given(st.data())
+def test_property_history_is_consistent(data):
+    """Over a path of legal transitions, ``history`` lists exactly the
+    state changes, in order, with non-decreasing times; ``RunNextStep``
+    changes neither the state nor the history."""
     machine = StateMachine()
-    applied = 0
-    for i, transition in enumerate(transitions):
-        if machine.can_apply(transition):
-            machine.apply(transition, now=float(i))
-            applied += 1
-    assert len(machine.history) == applied
+    changes = []
+    now = 0.0
+    for _ in range(30):
+        legal = sorted(legal_transitions(machine.state),
+                       key=lambda transition: transition.value)
+        if not legal:  # STOPPED
+            break
+        transition = data.draw(st.sampled_from(legal))
+        now += data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        before, history = machine.state, list(machine.history)
+        machine.apply(transition, now)
+        if transition is Transition.RUN_NEXT_STEP:
+            assert machine.state is before
+            assert machine.history == history
+        else:
+            assert machine.state is not before
+            changes.append((now, machine.state))
+    assert machine.history == changes
     times = [when for when, _state in machine.history]
     assert times == sorted(times)

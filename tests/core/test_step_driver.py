@@ -5,21 +5,28 @@ task as callbacks on the step's own timers and kernel. It resolves the
 stock phases once per START, calls a phase the task's class overrides
 (``host_phase``, ``launch_step``, ``after_step``), and runs a fault
 injector's failed steps and straggler delays as bare timers. Each case
-below pins what a run leaves behind: the machine history, the
-bubble-time accounting, steps, units, the failure, the events
-processed, the GPU's busy time and what the case's actions saw.
+below pins what a run leaves behind: the machine history (its state
+changes), the bubble-time accounting, steps, units, the failure, the
+events processed, the GPU's busy time and what the case's actions saw.
 
 The digests in ``GOLDEN`` were captured while a generator step loop
 still ran fault-injected runs and overridden steps, on that loop, and
 while every stock case also ran through it and matched. They hold the
-driver to that loop's heap entries, draws and order.
+driver to that loop's heap entries, draws and order. The history then
+also held one RUNNING entry per ``RunNextStep``; it now lists state
+changes only, and each digest is the captured outcome's with every
+history entry that repeats its predecessor's state removed. The
+``RunNextStep`` instants the cases read come from a spy on the driver
+(:func:`_run_next_steps`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -28,11 +35,11 @@ from repro.api.session import Session
 from repro.api.spec import ObsSpec, ScenarioSpec, TrainingSpec, WorkloadSpec
 from repro.core.interfaces import IterativeSideTask, SideTaskContext
 from repro.core.manager import SideTaskManager
-from repro.core.runtime import Command, CommandKind
+from repro.core.runtime import Command, CommandKind, _StepDriver
 from repro.core.states import SideTaskState
 from repro.core.task_spec import TaskProfile, TaskSpec
 from repro.core.worker import SideTaskWorker
-from repro.errors import GpuOutOfMemoryError
+from repro.errors import GpuOutOfMemoryError, SideTaskError
 from repro.faults.checkpoint import CheckpointPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, SlowdownWindow
@@ -44,7 +51,6 @@ from repro.sim.rng import RandomStreams
 from repro.workloads.adapters import FiniteJob
 from repro.workloads.misbehaving import MemoryLeakTask
 
-RUNNING = SideTaskState.RUNNING
 #: the first START lands here, after INIT's upload has finished
 START_AT = 1.0
 OVERHEAD_S = calibration.ITERATIVE_STEP_OVERHEAD_S
@@ -52,57 +58,53 @@ OVERHEAD_S = calibration.ITERATIVE_STEP_OVERHEAD_S
 #: sha256 of each case's outcome (:func:`_sha`)
 GOLDEN = {
     "LongHost":
-        "5f569585b86531a8b41e57261c071495cc62cbb37896fc08668f15b47f8441f8",
+        "df3a9ad4db7090698ea33b3c637750768ab94b3c30fc668451f9fb181e80d68e",
     "LongKernel":
-        "e3c3ad7ba9815125659a250a275490df9af1c79ac7b42f1007edc9c7b87f7532",
+        "d0c3263aeb5cf5d548c2f0dcac9c8ab2b015deccd24e761b4b57bd9d95793d67",
     "all_host":
-        "3875f394aecc7913ac65bb48e67edbe7b89806bb64a5b32d3fe7a398aa59526a",
+        "447f3cf98f847e32473753f7a175d367bddc003c7f007b49b7ad2f3a8132ee47",
     "checkpoint_policy":
-        "5977d65a0b1e0b728e7aa02391e12e123551f65fbe0dd858a75e0f7c281687f9",
+        "daf20a8671a60dfcf05b346bb15f3b8306a3f607b1eff8d6669406f01423917e",
     "failed_step[failed]":
-        "1668b242f9d9a243dc271d27c44792f1a182c110b3cc3c8e645e2e08a2ed5e1b",
+        "bf6b2926bcbd9912c159fb90296e1fae07faae8f0c2bf37202f1cbee14c0ad55",
     "failed_step[host]":
-        "1d0c100eeb8cbe57e85a63bb8609621b51510e270be46b049530bea0f95e77a1",
+        "37d668b4a56933ba80aa576a0fe188383a496f5b4d031ee625e80ce8dd9f06e6",
     "failed_step[kernel]":
-        "c23976df5a6ef5790c593998fe702d8e4f8b6805b9ba7f18740ccd360c929e7e",
+        "417969306fe5d2425b75d6baf68a4d2f019d60410ddf9202a6d20166317b0357",
     "failed_step[overhead]":
-        "0e756011c15e447ade6d1627a7a3a6626c79752a250b47f295f646ab0471a72f",
-    "failed_step[unprofiled, 0.0005]":
-        "c3e7548865d729867b28fe2964130321ee0ef884869f67c06b216e94146f4baa",
-    "failed_step[unprofiled, 0.0]":
-        "1aed7fcefcaf276e286063a786446f68b5d01a5318af903f7a117f5c11dba04c",
+        "3f73e97c3b0a82f39795b3d430dc5229c304efad34f69dbd90d38fdcd369143c",
     "finite_request":
-        "bcab3b9b5e5a4686df7ff078f93b356d6fc01d6aa1fe3ff33757db07697f6f69",
+        "5526fca653d68e10f7b25cecaf59c628957744e55b0ec506c5c1e7412e017d20",
     "fit_check":
-        "0cc38cc8fcf951e2910ad891f3b19eb85137a29477df2233c6d8a764204db5c0",
+        "e2a9dc97e4e346d67e56d7428811e66b5e8ab5dd4c84f0e179529c3c848b27f5",
     "kill_mid_step[host0.001]":
-        "98defb84a2758f2eefb93fdf00df56ea151cf678a36d98fe395c9b4b8539e3a0",
+        "05df8cdc95babfc30ba5a397defffdae9ef14bd3e9be47de0d02558b26f9e6bb",
     "kill_mid_step[kernel0.012]":
-        "011f84248c2c82845075d1372905f682c90d47ee34be8c25bf2de0ae8642bf15",
+        "b24ca5785ece1644840088aa714ca46a5ba5d75947ddc8ae5d811e1028590585",
     "kill_mid_step[overhead-0.00025]":
-        "3a139624a99a92f2d4bd5e0cf1d0ca2db61b2d0c6eb17f1465fdce7d43763257",
+        "5819364902b40a2e4a3a9b7bbcaa61a5b1eb7f7b9c4f6574e054c35dec36521e",
     "kill_mid_step[overhead0.0]":
-        "2f6fcca36847ea84bd73ca5bac76942329ac116bac4b187234362f20d5c6cddd",
+        "87299855a2c2d8022ce3b4432ba9d820aa29f6b68d6d3655a72f6d4faa99edcd",
     "leak[4.0]":
-        "fc482841dfc167689dfc2d21bd6ff7d3bbfab70f5432ab60c6730cf622becf3c",
+        "16b0409edb31a1abb925a910a39bebb75b7b6f163c0067f6f4c6e4e480e26f76",
     "leak[6.5]":
-        "369e109b7b4084cfc7db323725afc4874812a326d50e519b28f48c1175da4c26",
+        "7d999d5a08bd9f7c1455ea86b7c4a4f8514c429a1439ab15f9539ee9b4ecaf96",
     "oom_at_launch":
-        "4427e8adfd92494bbadf9e455e2be5dbc895d3e6e4f13b01f55e898e24dd2055",
+        "82eb675fb54f5108fc01f1f12031afae8c8963c2912ff29ee188f5deb623f18f",
     "pause_mid_bubble":
-        "f97daabfed5e91e0a9f4504a06db80fe289bd8ed0f1a41dd0de8aed117dcdd20",
+        "dddb87ad25f485ecf7803575e5a065907cbaba1c8629a4cfbbfc6722f00bd518",
     "straggler[host]":
-        "4780b16116f5af40d974725a7790604190df0ddba8e8ffb57fe638bf3266a32d",
+        "9d2bf9c90868fc98d75207a4f8ea8da23f90cda6bb71045f19bceddca785a95e",
     "straggler[kernel]":
-        "3169be79fc226e35cc1fb975f99b6ca496100cc63fab22f1f1f6034407698f0b",
+        "d2f21dd6defc9d34d88afea1d7a4e7e414287e1c1e88201bf20174fed1fb3d70",
     "straggler[slowed]":
-        "9c4760bf3b8fc66ac64deae172a360654dcdb6fa3adea32b428bf80848880df4",
+        "cb021be68040a6027428f00dbe5fd4a6d7c35a086e8df0cb00ed9197c23edbb2",
     "zero_overhead[0]":
-        "e6b225fe3986885e7518e946e5ffdc26f8cb8f3524183a3f4be2f1841ca0d7f2",
+        "dde603ae46d88d203d5c304c37fe9ed7f2002b5e2a75e2aa03d167ae8612c9f4",
     "zero_overhead[4]":
-        "0ea1dd442b4465773576d1ef0db08f532b29a0b55a60cd3ee885e5eecc2f2c26",
+        "5a1f6ea3581f1ca89e43823a388f5c4f07397c151ee776714c6493464ebc28f5",
     "zero_overhead[None]":
-        "bb08b0713c084555d851488b04433cd91aa3da05fef00c59e8cd4a6266b7ffa3",
+        "42d2cf1df3d3d68391c10316a1306f7926eb28493457ef30d8d381125387a7ad",
 }
 
 #: (sha256, events) of each whole run (:func:`_session_outputs`)
@@ -186,36 +188,62 @@ def _sha(outcome: dict) -> str:
 
 
 def _start(bubble_end):
-    def action(runtime, _gpu):
+    def action(runtime, _gpu, _marks):
         runtime.deliver(Command(CommandKind.START, bubble_end=bubble_end))
     return action
 
 
-def _pause(runtime, _gpu):
+def _pause(runtime, _gpu, _marks):
     runtime.deliver(Command(CommandKind.PAUSE))
 
 
-def _phase(runtime, gpu) -> str:
+def _phase(runtime, gpu, marks) -> str:
     """Where the running step is: overhead window, host phase or kernel."""
     if gpu.has_kernels_of(runtime.proc):
         return "kernel"
-    applied = sum(state is RUNNING for _t, state in runtime.machine.history)
-    # one RUNNING entry is the START; the rest are RunNextStep
-    return "host" if applied - 1 > runtime.workload.steps_done else "overhead"
+    # a step past its RunNextStep and not yet counted is in its host phase
+    return "host" if len(marks) > runtime.workload.steps_done else "overhead"
 
 
-def _kill(runtime, gpu):
-    phase = _phase(runtime, gpu)
+def _kill(runtime, gpu, marks):
+    phase = _phase(runtime, gpu, marks)
     runtime.kill("probe kill")
     return phase
 
 
+@contextlib.contextmanager
+def _run_next_steps(marks: list):
+    """Append each ``RunNextStep``'s instant to ``marks``: every step
+    attempt of the step driver that no fault injector fails. The
+    self-loop leaves no history entry, so it is read off the driver."""
+    step, step_fails = _StepDriver._step, FaultInjector.step_fails
+    failed = []
+
+    def spy_fails(injector, task_name):
+        failed.append(step_fails(injector, task_name))
+        return failed[-1]
+
+    def spy_step(driver):
+        failed.clear()
+        try:
+            step(driver)
+        finally:
+            if not any(failed):
+                marks.append(driver.engine.now)
+
+    with mock.patch.object(_StepDriver, "_step", spy_step), \
+            mock.patch.object(FaultInjector, "step_fails", spy_fails):
+        yield
+
+
 def _run(workload, actions, until=2.0, checkpoint=None, faults=None,
-         memory_limit_gb=None, profiled=True) -> dict:
+         memory_limit_gb=None, marks=None) -> dict:
     """One task on one worker. The manager INITs it; ``actions`` are
-    ``(time, action(runtime, gpu))``, each returning what it saw.
-    ``faults`` is a :class:`FaultInjector`, armed on the worker; an
-    unprofiled task's profile has no step time."""
+    ``(time, action(runtime, gpu, marks))``, each returning what it saw,
+    where ``marks`` holds the ``RunNextStep`` instants so far. ``faults``
+    is a :class:`FaultInjector`, armed on the worker; ``marks``, when
+    given, collects the run's ``RunNextStep`` instants."""
+    marks = [] if marks is None else marks
     engine = Engine()
     server = make_server_i(engine)
     gpu = server.gpu(0)
@@ -224,9 +252,8 @@ def _run(workload, actions, until=2.0, checkpoint=None, faults=None,
     manager = SideTaskManager(engine, [worker])
     if faults is not None:
         faults.arm(_Pool(engine, [worker], manager))
-    profile = TaskProfile(
-        gpu_memory_gb=workload.perf.memory_gb,
-        step_time_s=workload.perf.step_time_s if profiled else None)
+    profile = TaskProfile(gpu_memory_gb=workload.perf.memory_gb,
+                          step_time_s=workload.perf.step_time_s)
     # A fixed name: the task's jitter stream is keyed by it.
     manager.submit(TaskSpec(workload=workload, profile=profile,
                             name="probe", checkpoint=checkpoint,
@@ -236,8 +263,10 @@ def _run(workload, actions, until=2.0, checkpoint=None, faults=None,
     seen = []
     for at, action in actions:
         engine.timeout(at).callbacks.append(
-            lambda _ev, action=action: seen.append(action(runtime, gpu)))
-    engine.run(until=until)
+            lambda _ev, action=action: seen.append(
+                action(runtime, gpu, marks)))
+    with _run_next_steps(marks):
+        engine.run(until=until)
     return {
         "history": list(runtime.machine.history),
         "overhead_s": runtime.overhead_s,
@@ -264,10 +293,10 @@ def _pinned(case: str, outcome: dict) -> dict:
 
 def _step_marks() -> list[float]:
     """RunNextStep instants of an undisturbed run started at START_AT."""
-    history = _run(Probe(), [(START_AT, _start(None))],
-                   until=START_AT + 0.2)["history"]
-    marks = [when for when, state in history if state is RUNNING]
-    return marks[1:]  # the first RUNNING entry is the START
+    marks = []
+    _run(Probe(), [(START_AT, _start(None))], until=START_AT + 0.2,
+         marks=marks)
+    return marks
 
 
 def test_pause_mid_bubble():
@@ -376,7 +405,7 @@ def test_whole_runs(spec):
     assert _session_outputs(spec) == WHOLE_RUN_GOLDEN[spec.name]
 
 
-def _next_normal(runtime, _gpu) -> float:
+def _next_normal(runtime, _gpu, _marks) -> float:
     """The next value of the task's jitter source (drawn while paused)."""
     return runtime.ctx.normal_source()()
 
@@ -445,10 +474,9 @@ def test_the_resolved_step_draws_what_the_phases_draw(monkeypatch):
         return launch(gpu, kernel)
 
     monkeypatch.setattr(SimGPU, "launch", spy)
+    marks = []
     outcome = _run(Probe(), [(START_AT, _start(START_AT + 0.3)),
-                             (START_AT + 0.31, _pause)])
-    marks = [when for when, state in outcome["history"]
-             if state is RUNNING][1:]
+                             (START_AT + 0.31, _pause)], marks=marks)
     assert len(marks) == len(launches) == outcome["steps"] > 0
 
     reference = Probe()
@@ -501,19 +529,22 @@ def test_kill_in_each_phase_of_a_failed_step(phase):
         assert outcome["seen"] == [None, phase]
 
 
-@pytest.mark.parametrize("overhead_s", [OVERHEAD_S, 0.0])
-def test_a_failed_step_without_a_step_time_loses_none(monkeypatch,
-                                                      overhead_s):
-    """A task profiled without a step time has no fit check to pass and
-    loses no time to a failed step: its next attempt starts at once,
-    with a zero overhead before the process first waits."""
-    monkeypatch.setattr(calibration, "ITERATIVE_STEP_OVERHEAD_S", overhead_s)
-    outcome = _pinned(f"failed_step[unprofiled, {overhead_s}]", _run(
-        Probe(), [(START_AT, _start(START_AT + 0.2)),
-                  (START_AT + 0.2, _pause)],
-        faults=FaultInjector(FAILURES), profiled=False))
-    assert outcome["step_failures"] >= 6 and outcome["wasted_s"] == 0.0
-    assert outcome["history"][-1][1] is SideTaskState.PAUSED
+def test_an_iterative_task_without_a_step_time_is_refused():
+    """Without a profiled step time an iterative task would have no
+    program-directed limit and a failed step would lose no time: its
+    submission raises."""
+    engine = Engine()
+    server = make_server_i(engine)
+    worker = SideTaskWorker(engine, server.gpu(0), 0,
+                            side_task_memory_gb=20.0, mps=server.mps)
+    manager = SideTaskManager(engine, [worker])
+    workload = Probe()
+    profile = TaskProfile(gpu_memory_gb=workload.perf.memory_gb,
+                          step_time_s=None)
+    with pytest.raises(SideTaskError, match="profiled step time"):
+        manager.submit(TaskSpec(workload=workload, profile=profile,
+                                name="probe"), "iterative")
+    assert worker.all_tasks == []
 
 
 @pytest.mark.parametrize("phase", ["host", "kernel", "slowed"])
