@@ -132,6 +132,11 @@ class PageRankTask(IterativeSideTask):
         self._trajectory.ensure(step)
         self.residuals.append(self._trajectory.residuals[step - 1])
 
+    def restore_state(self, snapshot: dict) -> None:
+        """Roll back to ``snapshot``, the residual history with it."""
+        super().restore_state(snapshot)
+        del self.residuals[snapshot["steps_done"]:]
+
     @property
     def rank_vector(self) -> np.ndarray:
         if self._trajectory is None:
@@ -218,6 +223,11 @@ class GraphSGDTask(IterativeSideTask):
         step = len(self.losses) + 1
         self._trajectory.ensure(step)
         self.losses.append(self._trajectory.losses[step - 1])
+
+    def restore_state(self, snapshot: dict) -> None:
+        """Roll back to ``snapshot``, the loss history with it."""
+        super().restore_state(snapshot)
+        del self.losses[snapshot["steps_done"]:]
 
     @property
     def loss_improved(self) -> bool:

@@ -101,6 +101,11 @@ class ModelTrainingTask(IterativeSideTask):
         self._trajectory.ensure(step)
         self.losses.append(self._trajectory.losses[step - 1])
 
+    def restore_state(self, snapshot: dict) -> None:
+        """Roll back to ``snapshot``, the loss history with it."""
+        super().restore_state(snapshot)
+        del self.losses[snapshot["steps_done"]:]
+
     # -- diagnostics -------------------------------------------------------
     @property
     def loss_improved(self) -> bool:

@@ -114,6 +114,30 @@ class TestImageProcessing:
         assert task.is_finished
 
 
+@pytest.mark.parametrize("factory, history", [
+    (make_resnet18, "losses"),
+    (PageRankTask, "residuals"),
+    (GraphSGDTask, "losses"),
+], ids=["resnet18", "pagerank", "graph_sgd"])
+def test_restore_rolls_back_the_step_history(factory, history):
+    """A task restored from 5 steps to a 2-step snapshot keeps 2 history
+    entries, and its next step reads trajectory step 3."""
+    task = factory()
+    task.create_side_task()
+    snapshot = None
+    for step in range(5):
+        if step == 2:
+            snapshot = task.checkpoint_state()
+        task.compute_step()
+        task._account_step()
+    task.restore_state(snapshot)
+    assert len(getattr(task, history)) == task.steps_done == 2
+    task.compute_step()
+    fresh = factory()
+    drive(fresh, 3)
+    assert getattr(task, history) == getattr(fresh, history)
+
+
 class TestRegistryAndAdapters:
     def test_registry_builds_all_six(self):
         for name in WORKLOAD_NAMES:
