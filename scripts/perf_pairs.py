@@ -13,9 +13,9 @@ in the host's speed favours neither side. The script prints every run's
 end-to-end metrics with its ``correct`` and ``failed``, then per metric
 each side's median and quartiles, the change's median against the
 parent's, the pairs the change won (lower is better for every metric),
-and the parent's quartile distance, which the difference of the medians
-must exceed to count. It exits non-zero when a run fails or reports an
-incorrect or failed scenario.
+the parent's quartile distance, which the difference of the medians
+must exceed to count, and a verdict (:func:`verdict`). It exits
+non-zero when a run fails or reports an incorrect or failed scenario.
 """
 
 from __future__ import annotations
@@ -69,6 +69,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, statistics.median(values), high
 
 
+def verdict(parent: list[float], change: list[float]) -> str:
+    """``gain``, ``loss`` or ``unresolved`` for a lower-is-better metric
+    over pairs of runs (``parent[i]`` against ``change[i]``).
+
+    A gain: the change is lower in at least 9/10 of the pairs and its
+    median is below the parent's by more than the parent's quartile
+    distance. A loss is the mirror: higher in at least 9/10 of the pairs
+    and above by more than that distance. Anything else is unresolved.
+    """
+    low, median, high = quartiles(parent)
+    gap = statistics.median(change) - median
+    lower = sum(new < old for old, new in zip(parent, change))
+    higher = sum(new > old for old, new in zip(parent, change))
+    if 10 * lower >= 9 * len(parent) and -gap > high - low:
+        return "gain"
+    if 10 * higher >= 9 * len(parent) and gap > high - low:
+        return "loss"
+    return "unresolved"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
@@ -101,13 +121,12 @@ def main(argv=None) -> int:
         c_low, change, c_high = quartiles(values["change"])
         wins = sum(new < old for old, new in zip(values["parent"],
                                                  values["change"]))
-        spread = high - low
         print(f"  {name:11s} parent {parent:.6g} [{low:.6g}, {high:.6g}]  "
               f"change {change:.6g} [{c_low:.6g}, {c_high:.6g}]  "
               f"{(change - parent) / parent:+.1%}  "
               f"change lower in {wins} of {args.pairs}  "
-              f"parent quartile distance {spread:.6g}"
-              f"{'  (median gap exceeds it)' if abs(change - parent) > spread else ''}")
+              f"parent quartile distance {high - low:.6g}  "
+              f"{verdict(values['parent'], values['change'])}")
     if not ok:
         print("some run was incorrect or had failed scenarios")
         return 1
