@@ -199,7 +199,8 @@ class SideTaskRuntime:
         snapshot_steps = (self._snapshot or {}).get("steps_done", 0)
         lost = max(0, self.workload.steps_done - snapshot_steps)
         self.wasted_steps += lost
-        self.wasted_s += lost * (self.spec.profile.step_time_s or 0.0)
+        step_time = self.spec.profile.step_time_s or 0.0
+        self.wasted_s += lost * step_time
         self.preemptions += 1
         telemetry = self.sim.telemetry
         telemetry.counter("tasks.preemptions").add()

@@ -240,9 +240,9 @@ def _run(workload, actions, until=2.0, checkpoint=None, faults=None,
          memory_limit_gb=None, marks=None) -> dict:
     """One task on one worker. The manager INITs it; ``actions`` are
     ``(time, action(runtime, gpu, marks))``, each returning what it saw,
-    where ``marks`` holds the ``RunNextStep`` instants so far. ``faults``
-    is a :class:`FaultInjector`, armed on the worker; ``marks``, when
-    given, collects the run's ``RunNextStep`` instants."""
+    where ``marks`` (a new list unless given) collects the run's
+    ``RunNextStep`` instants. ``faults`` is a :class:`FaultInjector`,
+    armed on the worker."""
     marks = [] if marks is None else marks
     engine = Engine()
     server = make_server_i(engine)
