@@ -214,8 +214,9 @@ def _kill(runtime, gpu, marks):
 @contextlib.contextmanager
 def _run_next_steps(marks: list):
     """Append each ``RunNextStep``'s instant to ``marks``: every step
-    attempt of the step driver that no fault injector fails. The
-    self-loop leaves no history entry, so it is read off the driver."""
+    attempt of the step driver on a RUNNING task that no fault injector
+    fails, where the history used to log the self-loop. It leaves no
+    entry now, so it is read off the driver."""
     step, step_fails = _StepDriver._step, FaultInjector.step_fails
     failed = []
 
@@ -225,10 +226,11 @@ def _run_next_steps(marks: list):
 
     def spy_step(driver):
         failed.clear()
+        running = driver.machine.state is SideTaskState.RUNNING
         try:
             step(driver)
         finally:
-            if not any(failed):
+            if running and not any(failed):
                 marks.append(driver.engine.now)
 
     with mock.patch.object(_StepDriver, "_step", spy_step), \
