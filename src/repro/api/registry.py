@@ -231,30 +231,17 @@ def run(
     name: str,
     overrides: "typing.Mapping[str, object] | None" = None,
     spec: "ScenarioSpec | None" = None,
-    backend=None,
 ) -> ResultSet:
     """Run a registered scenario and wrap the outcome as a ResultSet
-    (base-spec/override resolution in :func:`resolve_scenario`).
-
-    ``backend`` scopes a sweep executor — a
-    :class:`~repro.distrib.executor.SweepBackend` or a backend name —
-    around the scenario's sweeps via
-    :func:`~repro.distrib.executor.use_backend`; ``None`` keeps the
-    ambient resolution (context, environment, default pool).
-    """
+    (base-spec/override resolution in :func:`resolve_scenario`). Its
+    sweeps run on :func:`~repro.experiments.common.sweep`'s process
+    pool, or serially under ``REPRO_SWEEP_WORKERS=1``."""
     definition = get(name)
     scenario = resolve_scenario(name, overrides, spec)
-    if backend is None:
-        data = definition.run_spec(scenario)
-    else:
-        from repro.distrib.executor import use_backend
-
-        with use_backend(backend):
-            data = definition.run_spec(scenario)
     return ResultSet(
         experiment=name,
         scenario=scenario,
-        data=data,
+        data=definition.run_spec(scenario),
         _render=definition.render,
         _rows=definition.rows,
     )

@@ -19,8 +19,10 @@ Examples::
     repro run fig2 --spec fig2.json                # re-run it exactly
     repro trace serve                              # Chrome trace JSON
     repro run serve --set trace=true               # table + trace file
-    repro sweep serve --backend=queue --db runs/q.db --workers 2
-    repro worker runs/q.db                         # drain the queue
+    REPRO_SWEEP_WORKERS=1 repro run serve          # sweep points serially
+
+Every malformed input (a ``--spec`` file, a ``--set`` pair, a value
+out of range) exits 2 with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 
 from repro.api import registry
 from repro.api.spec import ScenarioSpec
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 
 EXPORT_FORMATS = ("json", "csv", "txt")
 
@@ -44,9 +46,7 @@ def _parse_set(pairs: "list[str]") -> dict:
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(
-                f"error: --set expects key=value, got {pair!r}"
-            )
+            raise SpecError(f"--set expects key=value, got {pair!r}")
         try:
             overrides[key] = json.loads(value)
         except json.JSONDecodeError:
@@ -75,9 +75,9 @@ def _base_spec(args: argparse.Namespace) -> "ScenarioSpec | None":
         with open(args.spec) as handle:
             data = json.load(handle)
     except OSError as error:
-        raise SystemExit(f"error: cannot read --spec file: {error}")
+        raise SpecError(f"cannot read --spec file: {error}") from None
     except json.JSONDecodeError as error:
-        raise SystemExit(f"error: {args.spec} is not valid JSON: {error}")
+        raise SpecError(f"{args.spec} is not valid JSON: {error}") from None
     if isinstance(data, dict) and isinstance(data.get("scenario"), dict):
         data = data["scenario"]
     return ScenarioSpec.from_dict(data)
@@ -178,69 +178,9 @@ def main(argv: "list[str] | None" = None) -> int:
                                default="all",
                                help="which artifact(s) to write")
     export_parser.add_argument("--spec-only", action="store_true",
-                               help="print the (overridden) spec as JSON "
-                                    "and exit without running")
-
-    sweep_parser = commands.add_parser(
-        "sweep", help="run a scenario through a selectable sweep backend "
-                      "(the queue backend enqueues into a durable SQLite "
-                      "store that `repro worker` processes drain)")
-    _add_scenario_options(sweep_parser)
-    sweep_parser.add_argument("--backend", choices=("serial", "pool", "queue"),
-                              default="pool",
-                              help="sweep executor (default: pool)")
-    sweep_parser.add_argument("--db", metavar="FILE",
-                              default="artifacts/queue.db",
-                              help="queue database path (queue backend; "
-                                   "default: artifacts/queue.db)")
-    sweep_parser.add_argument("--workers", type=int, default=0,
-                              metavar="N",
-                              help="local `repro worker` processes to spawn "
-                                   "(queue backend; 0 = rely on workers you "
-                                   "start yourself)")
-    sweep_parser.add_argument("--poll", type=float, default=0.25,
-                              metavar="SECONDS",
-                              help="client poll interval (queue backend)")
-    sweep_parser.add_argument("--lease-timeout", type=float, default=None,
-                              metavar="SECONDS",
-                              help="visibility timeout before a silent "
-                                   "worker forfeits its point")
-    sweep_parser.add_argument("--max-attempts", type=int, default=3,
-                              metavar="N",
-                              help="attempts per point before it is "
-                                   "marked DEAD (default: 3)")
-    sweep_parser.add_argument("--timeout", type=float, default=None,
-                              metavar="SECONDS",
-                              help="give up waiting on the queue after "
-                                   "this long")
-    sweep_parser.add_argument("--export", metavar="DIR", default=None,
-                              help="also write json/csv/txt artifacts here")
-
-    worker_parser = commands.add_parser(
-        "worker", help="drain sweep points from a queue database until "
-                       "every point is terminal (run N of these in "
-                       "parallel shells or machines)")
-    worker_parser.add_argument("db", help="queue database path (the --db "
-                                          "of a `repro sweep --backend="
-                                          "queue` run)")
-    worker_parser.add_argument("--id", default=None, metavar="WORKER_ID",
-                               help="worker id recorded on leases "
-                                    "(default: host-pid-nonce)")
-    worker_parser.add_argument("--poll", type=float, default=0.5,
-                               metavar="SECONDS",
-                               help="idle poll interval (default: 0.5)")
-    worker_parser.add_argument("--lease-timeout", type=float, default=None,
-                               metavar="SECONDS",
-                               help="override the sweep's visibility "
-                                    "timeout")
-    worker_parser.add_argument("--max-points", type=int, default=None,
-                               metavar="N",
-                               help="exit after completing N points")
-    worker_parser.add_argument("--keep-alive", action="store_true",
-                               help="keep polling after the store drains "
-                                    "(serve future sweeps on the same db)")
-    worker_parser.add_argument("--sweep-id", default=None,
-                               help="only lease points of this sweep")
+                               help="print the scenario `run` would "
+                                    "execute as spec JSON and exit "
+                                    "without running")
 
     fuzz_parser = commands.add_parser(
         "fuzz", help="draw seeded random scenarios, run each one, and "
@@ -300,30 +240,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(report.render())
         return 0 if report.ok else 1
 
-    if args.command == "worker":
-        from repro.distrib import Worker
-
-        try:
-            worker = Worker(
-                args.db,
-                worker_id=args.id,
-                poll_s=args.poll,
-                lease_timeout_s=args.lease_timeout,
-                max_points=args.max_points,
-                keep_alive=args.keep_alive,
-                sweep_id=args.sweep_id,
-            )
-            stats = worker.run()
-        except KeyboardInterrupt:
-            print("worker: interrupted", file=sys.stderr)
-            return 130
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"worker {worker.worker_id}: {stats.summary()}",
-              file=sys.stderr)
-        return 0
-
     if args.command == "list":
         if args.json:
             print(json.dumps(registry.describe(), indent=2))
@@ -337,8 +253,8 @@ def main(argv: "list[str] | None" = None) -> int:
         base = _base_spec(args)
         overrides = _overrides(args)
         if args.command == "export" and args.spec_only:
-            spec = base if base is not None else registry.get(args.scenario).spec()
-            print(spec.override(overrides).to_json())
+            print(registry.resolve_scenario(
+                args.scenario, overrides=overrides, spec=base).to_json())
             return 0
         if args.command == "trace":
             scenario = registry.resolve_scenario(
@@ -348,30 +264,13 @@ def main(argv: "list[str] | None" = None) -> int:
                                      jsonl=args.jsonl):
                 print(path)
             return 0
-        if args.command == "sweep":
-            from repro.distrib import DEFAULT_LEASE_TIMEOUT_S, SweepBackend
-
-            backend = SweepBackend(
-                backend=args.backend,
-                db=args.db,
-                workers=args.workers,
-                poll_s=args.poll,
-                lease_timeout_s=(args.lease_timeout
-                                 if args.lease_timeout is not None
-                                 else DEFAULT_LEASE_TIMEOUT_S),
-                max_attempts=args.max_attempts,
-                timeout_s=args.timeout,
-            )
-            result = registry.run(args.scenario, overrides=overrides,
-                                  spec=base, backend=backend)
-        else:
-            result = registry.run(args.scenario, overrides=overrides,
-                                  spec=base)
+        result = registry.run(args.scenario, overrides=overrides,
+                              spec=base)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if args.command in ("run", "sweep"):
+    if args.command == "run":
         print(result.render())
         if args.export:
             for path in result.write_artifacts(args.export):

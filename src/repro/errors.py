@@ -94,15 +94,7 @@ class SpecError(ReproError):
 
 class SweepConfigError(ReproError):
     """Invalid sweep-executor configuration: a garbage or non-positive
-    ``REPRO_SWEEP_WORKERS``, an unknown ``REPRO_SWEEP_BACKEND``, or a
-    queue backend selected without a database path."""
-
-
-class DistribError(ReproError):
-    """The distributed sweep control plane was driven incorrectly or hit
-    an unrecoverable condition: an unserializable point function, a
-    fingerprint mismatch on resume, a lost/illegal task transition, or a
-    sweep whose points exhausted their attempts (DEAD)."""
+    ``REPRO_SWEEP_WORKERS``."""
 
 
 class SessionError(ReproError):

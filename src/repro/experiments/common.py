@@ -66,7 +66,6 @@ def sweep(
     items: typing.Iterable,
     fn: typing.Callable,
     max_workers: int | None = None,
-    backend=None,
 ) -> list:
     """Run ``fn(item)`` for every item and return the results in order.
 
@@ -79,34 +78,19 @@ def sweep(
     counters — a default :class:`~repro.core.task_spec.TaskSpec` name
     embeds one and would differ between pool workers and the parent.
 
-    ``backend`` selects the executor: a
-    :class:`~repro.distrib.executor.SweepBackend`, a backend name
-    (``"serial"`` / ``"pool"`` / ``"queue"``), or ``None`` to resolve
-    through the ambient :func:`~repro.distrib.executor.use_backend`
-    context and the ``REPRO_SWEEP_BACKEND`` environment. The queue
-    backend routes the points through the durable SQLite control plane
-    in :mod:`repro.distrib`; its aggregation is byte-identical to the
-    serial and pool paths.
-
-    Falls back to running serially when parallelism cannot help or would
-    misbehave: a single item, ``max_workers=1`` (or a 1-CPU host), inside
-    a pytest-xdist worker, or nested inside another sweep (including a
-    queue worker — the worker *is* the parallelism). ``fn`` and the items
-    must be picklable (module-level functions / ``functools.partial``
-    over them); a pickling failure also falls back to serial.
+    Runs serially when parallelism cannot help or would misbehave: a
+    single item, ``max_workers=1`` (or ``REPRO_SWEEP_WORKERS=1``, or a
+    1-CPU host), inside a pytest-xdist worker, nested inside another
+    sweep, or when ``fn`` or an item cannot be pickled (a lambda, a
+    local function, a lock). A pool torn down under the sweep also
+    falls back to a serial run. Errors raised *by fn* propagate
+    unchanged, and no point runs twice for them.
     """
-    from repro.distrib import executor as distrib_executor
-
     items = list(items)
     if not items:
         return []
     if _IN_SWEEP_WORKER:
         return [fn(item) for item in items]
-    config = distrib_executor.resolve(backend)
-    if config.backend == "serial":
-        return [fn(item) for item in items]
-    if config.backend == "queue":
-        return distrib_executor.queue_sweep(items, fn, config)
     if max_workers is None:
         max_workers = sweep_workers()
     max_workers = min(max_workers, len(items))
@@ -116,15 +100,18 @@ def sweep(
     ):
         return [fn(item) for item in items]
     try:
+        pickle.dumps((fn, items))
+    except (pickle.PicklingError, AttributeError, TypeError):
+        # The pool cannot ship fn or an item to its workers.
+        return [fn(item) for item in items]
+    try:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=max_workers, initializer=_worker_init
         ) as pool:
             outcomes = list(pool.map(functools.partial(_sweep_call, fn), items))
-    except (pickle.PicklingError, AttributeError,
-            concurrent.futures.process.BrokenProcessPool):
-        # Unpicklable fn/items or a torn-down pool: the work itself is
-        # fine, only the transport failed — run the points serially.
-        # Errors raised *by fn* propagate unchanged.
+    except concurrent.futures.process.BrokenProcessPool:
+        # A worker died under the pool: the points themselves are fine,
+        # only the transport failed — run them serially.
         return [fn(item) for item in items]
     results = []
     for result, events in outcomes:

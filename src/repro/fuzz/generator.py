@@ -33,7 +33,6 @@ from repro.api.spec import (
     RECOVERY_MODES,
     ArrivalSpec,
     FaultSpec,
-    JobSpec,
     MetricsSpec,
     MixEntrySpec,
     PolicySpec,

@@ -5,8 +5,6 @@ export) goes through :func:`atomic_write_text`: the content lands in a
 temp file in the destination directory, is fsynced, and is renamed into
 place with ``os.replace`` — so a killed process can never leave a
 truncated artifact behind, only the old file or the complete new one.
-The queue store needs the same guarantee and gets it from SQLite's
-journal; this module covers the plain-text artifacts.
 """
 
 from __future__ import annotations

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
+from repro.api import registry
+from repro.api.results import ResultSet
+from repro.api.spec import ScenarioSpec
 from repro.cli import main
+
+FIG1_JSON = registry.get("fig1").spec().to_json()
+SERVE_SPEC = registry.get("serve").spec()
 
 
 def test_list_names_every_scenario(capsys):
@@ -26,16 +32,6 @@ def test_list_json_is_machine_readable(capsys):
 def test_run_with_set_overrides(capsys):
     assert main(["run", "fig1", "--set", "training.micro_batches=8"]) == 0
     assert "Figure 1(a)" in capsys.readouterr().out
-
-
-def test_run_rejects_bad_set_syntax():
-    with pytest.raises(SystemExit):
-        main(["run", "fig1", "--set", "nonsense"])
-
-
-def test_run_reports_spec_errors_cleanly(capsys):
-    assert main(["run", "fig1", "--set", "training.epoch=2"]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_export_spec_only_round_trips(capsys):
@@ -65,15 +61,6 @@ def test_run_from_exported_artifact(tmp_path, capsys):
     assert "Figure 1(a)" in capsys.readouterr().out
 
 
-def test_spec_file_errors_are_clean(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "fig1", "--spec", str(tmp_path / "missing.json")])
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(SystemExit):
-        main(["run", "fig1", "--spec", str(bad)])
-
-
 def test_export_writes_artifacts(tmp_path, capsys):
     assert main(["export", "fig1", "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out.splitlines()
@@ -97,16 +84,6 @@ def test_export_explicit_csv_without_rows_fails_loudly(tmp_path, capsys):
                  "--format", "csv"]) == 2
     assert "no tabular rows" in capsys.readouterr().err
     assert not (tmp_path / "fig8.csv").exists()
-
-
-def test_mismatched_spec_file_is_a_clean_error(tmp_path, capsys):
-    """A serve export fed to fig1 errors instead of running the wrong
-    simulation and crashing."""
-    assert main(["export", "serve", "--spec-only"]) == 0
-    spec_path = tmp_path / "serve.json"
-    spec_path.write_text(capsys.readouterr().out)
-    assert main(["run", "fig1", "--spec", str(spec_path)]) == 2
-    assert "different experiment" in capsys.readouterr().err
 
 
 def test_trace_writes_chrome_trace_json(tmp_path, capsys):
@@ -148,48 +125,103 @@ def test_run_with_trace_sugar_also_writes_trace(tmp_path, capsys):
     assert json.loads(trace_path.read_text())["traceEvents"]
 
 
-def test_sweep_serial_backend_prints_the_table(capsys):
-    assert main(["sweep", "fig1", "--backend", "serial"]) == 0
-    assert "Figure 1(a)" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [["sweep", "fig1", "--backend", "serial"],
+                                  ["worker", "queue.db"]])
+def test_removed_verbs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_sweep_queue_backend_with_local_worker(tmp_path, capsys):
-    db = str(tmp_path / "q.db")
-    assert main([
-        "sweep", "serve", "--backend", "queue", "--db", db,
-        "--workers", "1", "--poll", "0.05", "--epochs", "1",
-        "--set", 'sweep.axes={"arrivals.rate_per_s": [2.0]}',
-        "--export", str(tmp_path / "out"),
-    ]) == 0
+def _spec_file(tmp_path, text: str) -> "list[str]":
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    return ["--spec", str(path)]
+
+
+#: (label, extra argv built in a scratch directory, a phrase the error
+#: line names); each is one way to hand the CLI a malformed input
+BAD_INPUTS = [
+    ("missing spec file",
+     lambda tmp: ["--spec", str(tmp / "missing.json")],
+     "cannot read --spec file"),
+    ("spec is a directory",
+     lambda tmp: ["--spec", str(tmp)],
+     "cannot read --spec file"),
+    ("truncated spec",
+     lambda tmp: _spec_file(tmp, FIG1_JSON[:len(FIG1_JSON) // 2]),
+     "is not valid JSON"),
+    ("spec is a JSON list",
+     lambda tmp: _spec_file(tmp, "[1, 2]"),
+     "expects a mapping"),
+    ("spec is a JSON number",
+     lambda tmp: _spec_file(tmp, "3"),
+     "expects a mapping"),
+    ("spec has an unknown field",
+     lambda tmp: _spec_file(
+         tmp, json.dumps({**json.loads(FIG1_JSON), "bogus": 1})),
+     "unknown ScenarioSpec field"),
+    ("spec of another kind",
+     lambda tmp: _spec_file(tmp, SERVE_SPEC.to_json()),
+     "different experiment"),
+    ("artifact of another kind",
+     lambda tmp: _spec_file(
+         tmp, ResultSet("serve", SERVE_SPEC, None, str).to_json()),
+     "different experiment"),
+    ("set without =",
+     lambda tmp: ["--set", "nonsense"],
+     "expects key=value"),
+    ("set of an unknown path",
+     lambda tmp: ["--set", "training.epoch=2"],
+     "unknown TrainingSpec field"),
+    ("set of a wrong type",
+     lambda tmp: ["--set", "training.epochs=abc"],
+     "expected an integer"),
+    ("zero epochs",
+     lambda tmp: ["--epochs", "0"],
+     "training.epochs must be an integer >= 1"),
+]
+#: every verb that reads a scenario spec, with its output directory
+VERBS = {
+    "run": ["run", "fig1"],
+    "export-spec-only": ["export", "fig1", "--spec-only"],
+    "export-out": ["export", "fig1", "--out", "{out}"],
+    "trace-out": ["trace", "fig1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("build, phrase",
+                         [entry[1:] for entry in BAD_INPUTS],
+                         ids=[entry[0] for entry in BAD_INPUTS])
+def test_malformed_input_exits_2_with_one_error_line(verb, build, phrase,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in VERBS[verb]] + build(tmp_path)
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "Serve:" in captured.out
-    assert (tmp_path / "out" / "serve.json").exists()
-    # the queue database documents the run: one DONE point
-    import sqlite3
-
-    con = sqlite3.connect(db)
-    states = dict(con.execute(
-        "SELECT state, COUNT(*) FROM points GROUP BY state"
-    ).fetchall())
-    con.close()
-    assert states == {"DONE": 1}
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert phrase in lines[0]
+    assert not out.exists()
 
 
-def test_worker_exits_cleanly_on_a_terminal_store(tmp_path, capsys):
-    from repro.distrib import Broker
-    from repro.experiments import common
-    from tests.distrib import pointfns
+#: every (scenario, swept axis) pair of the registered default specs
+SWEPT_AXES = [
+    (name, axis)
+    for name in registry.names()
+    if registry.get(name).spec().sweep is not None
+    for axis in registry.get(name).spec().sweep.axes
+]
 
-    db = str(tmp_path / "q.db")
-    broker = Broker(db)
-    broker.submit([1, 2], pointfns.double)
-    saved = common._IN_SWEEP_WORKER
-    try:
-        assert main(["worker", db, "--id", "cli-test", "--poll", "0.05"]) == 0
-    finally:
-        # the in-process worker flips the nested-sweep flag for the
-        # whole test process; put it back
-        common._IN_SWEEP_WORKER = saved
-    err = capsys.readouterr().err
-    assert "worker cli-test: 2 point(s) done" in err
-    assert broker.counts()["DONE"] == 2
+
+@pytest.mark.parametrize("name, axis", SWEPT_AXES,
+                         ids=[f"{name}-{axis}" for name, axis in SWEPT_AXES])
+def test_spec_only_prints_the_scenario_run_executes(name, axis, capsys):
+    value = registry.get(name).spec().sweep.axes[axis][0]
+    assert main(["export", name, "--spec-only",
+                 "--set", f"{axis}={json.dumps(value)}"]) == 0
+    printed = ScenarioSpec.from_json(capsys.readouterr().out)
+    assert printed == registry.resolve_scenario(name, {axis: value})

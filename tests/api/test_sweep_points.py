@@ -1,5 +1,5 @@
-"""sweep_points() edge cases: the seam the distributed queue ships
-through, so its corner behavior is pinned here."""
+"""sweep_points() edge cases: every sweep fans its points out through
+this seam, so its corner behavior is pinned here."""
 
 from __future__ import annotations
 
@@ -73,10 +73,11 @@ class TestOverrideCollisions:
 
 class TestPointSpecRoundTrip:
     def test_point_specs_round_trip_byte_exactly(self, serve_spec):
-        # The queue stores point specs as JSON text; a decode/encode
-        # cycle must reproduce the exact bytes (floats via repr
-        # round-trip, key order preserved) or resume fingerprints and
-        # byte-identical aggregation would both break.
+        # Exported specs, fuzz corpus files and the fuzzer's pool frame
+        # carry point specs as JSON text; a decode/encode cycle must
+        # reproduce the exact bytes (floats via repr round-trip, key
+        # order preserved) or a re-run from JSON would not be
+        # byte-identical.
         for point in serve_spec.sweep_points():
             text = point.to_json()
             rebuilt = ScenarioSpec.from_json(text)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.faults import (
@@ -99,6 +101,16 @@ class TestInjectorQueries:
         assert injector.slowdown_factor(0, 8.0) == 2.0
 
 
+class _CountingRandom(random.Random):
+    """A seeded stream that counts its draws."""
+
+    draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return super().random()
+
+
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_without_jitter(self):
         policy = RetryPolicy(max_attempts=4, backoff_s=0.5,
@@ -115,13 +127,28 @@ class TestRetryPolicy:
         for _ in range(100):
             assert 0.75 <= policy.delay_s(1, rng) <= 1.25
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
+    @pytest.mark.parametrize("field, value", [
+        ("max_attempts", 0),
+        ("backoff_s", -1.0),
+        ("jitter", 1.5),
+        ("backoff_factor", 0.5),
+        ("attempt_timeout_s", 0),
+    ])
+    def test_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
+    def test_attempt_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="attempt must be >= 1"):
+            RetryPolicy().delay_s(0, _CountingRandom(0))
+
+    @pytest.mark.parametrize("jitter, draws", [(0.0, 0), (0.25, 1)])
+    def test_a_delay_draws_one_number_only_with_jitter(self, jitter, draws):
+        # Callers share their seeded stream with other draws, so the
+        # number of draws per delay is part of the contract.
+        rng = _CountingRandom(0)
+        RetryPolicy(jitter=jitter).delay_s(2, rng)
+        assert rng.draws == draws
 
 
 class TestCheckpointPolicy:

@@ -5,8 +5,8 @@ spec) runs at one epoch under a non-default seed and a non-default value
 for each manager setting. A recorder sees each side-task pool and each
 hand-staged worker as it is built, and each manager; every one must have
 received the overrides, or a value from the scenario's own grid for that
-field. The serial sweep backend keeps every point in this process, where
-the recorder can see it.
+field. ``REPRO_SWEEP_WORKERS=1`` runs every sweep serially, which keeps
+every point in this process, where the recorder can see it.
 
 The records are compared, not the outputs: a staged demo's output need
 not move with the seed.
@@ -90,8 +90,9 @@ class Recorder:
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_seed_and_policy_reach_every_pool(name, monkeypatch):
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
     recorder = Recorder(monkeypatch)
-    registry.run(name, OVERRIDES, backend="serial")
+    registry.run(name, OVERRIDES)
     if name in NO_POOL:
         assert recorder.seeds == recorder.managers == []
         return
